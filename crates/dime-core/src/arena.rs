@@ -52,13 +52,17 @@ fn slice<T>(buf: &[T], span: Span) -> &[T] {
     &buf[o..o + l]
 }
 
-/// The packed, immutable verification view of a [`Group`].
+/// The packed verification view of a [`Group`].
 ///
-/// Build once per discovery run (inside the `signature_build` phase), then
-/// evaluate rules by entity id via [`VerifyArena::eval_rule`] /
+/// The batch engine builds one per discovery run (inside the
+/// `signature_build` phase); the live engine ([`crate::IncrementalDime`])
+/// keeps one across its lifetime, [`VerifyArena::push`]ing each added
+/// entity and rebuilding after a removal. Rules are evaluated by entity id
+/// via [`VerifyArena::eval_rule`] / [`VerifyArena::eval_compiled`] /
 /// [`VerifyArena::rule_cost`]. The arena owns plain `Vec`s only, so shared
 /// references are `Sync` and the engine's scoped workers can verify
 /// against one arena concurrently.
+#[derive(Debug, PartialEq)]
 pub(crate) struct VerifyArena {
     /// Attributes per entity (`slot = eid · attrs + attr`).
     attrs: usize,
@@ -113,49 +117,57 @@ impl VerifyArena {
             anc: Vec::new(),
             node_depth: Vec::with_capacity(slots),
         };
-        for e in group.entities() {
-            for (ai, v) in e.values.iter().enumerate() {
-                let start = a.tokens.len();
-                a.tokens.extend_from_slice(&v.tokens);
-                a.token_span.push((start as u32, v.tokens.len() as u32));
-
-                a.char_len.push(v.char_len);
-                a.is_ascii.push(v.is_ascii);
-                if v.is_ascii {
-                    let start = a.bytes.len();
-                    a.bytes.extend_from_slice(v.text.as_bytes());
-                    a.byte_span.push((start as u32, v.text.len() as u32));
-                } else {
-                    a.byte_span.push((0, 0));
-                }
-                let start = a.chars.len();
-                a.chars.extend(v.text.chars());
-                a.char_span.push((start as u32, (a.chars.len() - start) as u32));
-                debug_assert_eq!(a.chars.len() - start, v.char_len as usize);
-
-                let start = a.block_keys.len();
-                if is_dense(&v.tokens) {
-                    block_build_into(&v.tokens, &mut a.block_keys, &mut a.block_words);
-                }
-                a.block_span.push((start as u32, (a.block_keys.len() - start) as u32));
-
-                let start = a.anc.len();
-                let mut depth = 1u32;
-                if let (Some(ont), Some(node)) = (group.ontology(ai), v.node) {
-                    depth = ont.depth(node);
-                    let mut cur = Some(node);
-                    while let Some(nd) = cur {
-                        a.anc.push(nd);
-                        cur = ont.parent(nd);
-                    }
-                    a.anc[start..].reverse();
-                    debug_assert_eq!(a.anc.len() - start, depth as usize);
-                }
-                a.anc_span.push((start as u32, (a.anc.len() - start) as u32));
-                a.node_depth.push(depth);
-            }
+        for eid in 0..group.len() {
+            a.push(group, eid);
         }
         a
+    }
+
+    /// Interns entity `eid` of `group` as the arena's next entity. The
+    /// arena must already hold entities `0..eid`; this is how the live
+    /// engine keeps its arena in step with a growing group.
+    pub(crate) fn push(&mut self, group: &Group, eid: usize) {
+        debug_assert_eq!(self.token_span.len(), eid * self.attrs, "arena out of step with group");
+        for (ai, v) in group.entity(eid).values.iter().enumerate() {
+            let start = self.tokens.len();
+            self.tokens.extend_from_slice(&v.tokens);
+            self.token_span.push((start as u32, v.tokens.len() as u32));
+
+            self.char_len.push(v.char_len);
+            self.is_ascii.push(v.is_ascii);
+            if v.is_ascii {
+                let start = self.bytes.len();
+                self.bytes.extend_from_slice(v.text.as_bytes());
+                self.byte_span.push((start as u32, v.text.len() as u32));
+            } else {
+                self.byte_span.push((0, 0));
+            }
+            let start = self.chars.len();
+            self.chars.extend(v.text.chars());
+            self.char_span.push((start as u32, (self.chars.len() - start) as u32));
+            debug_assert_eq!(self.chars.len() - start, v.char_len as usize);
+
+            let start = self.block_keys.len();
+            if is_dense(&v.tokens) {
+                block_build_into(&v.tokens, &mut self.block_keys, &mut self.block_words);
+            }
+            self.block_span.push((start as u32, (self.block_keys.len() - start) as u32));
+
+            let start = self.anc.len();
+            let mut depth = 1u32;
+            if let (Some(ont), Some(node)) = (group.ontology(ai), v.node) {
+                depth = ont.depth(node);
+                let mut cur = Some(node);
+                while let Some(nd) = cur {
+                    self.anc.push(nd);
+                    cur = ont.parent(nd);
+                }
+                self.anc[start..].reverse();
+                debug_assert_eq!(self.anc.len() - start, depth as usize);
+            }
+            self.anc_span.push((start as u32, (self.anc.len() - start) as u32));
+            self.node_depth.push(depth);
+        }
     }
 
     /// Lowers a rule against this arena for the hot candidate loops:
@@ -291,9 +303,10 @@ impl VerifyArena {
     /// Evaluates the rule's conjunction on a pair of entity ids; identical
     /// boolean to `rule.eval(group, group.entity(a), group.entity(b))`.
     ///
-    /// The engines run [`Self::eval_compiled`]; this uncompiled form is the
-    /// differential oracle the tests pit it against.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// The live engine verifies through this uncompiled form: a compiled
+    /// rule's per-entity histograms would have to grow with every add. The
+    /// batch engine's candidate loops run [`Self::eval_compiled`], and the
+    /// tests pit the two against each other.
     pub(crate) fn eval_rule(&self, rule: &Rule, a: usize, b: usize) -> bool {
         rule.predicates.iter().all(|p| self.eval_pred(p, rule.polarity, a, b))
     }

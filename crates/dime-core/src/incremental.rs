@@ -3,9 +3,11 @@
 //! gaining products).
 //!
 //! [`IncrementalDime`] maintains the positive-phase state of DIME⁺ across
-//! entity insertions: per-rule inverted signature indexes and a union-find
-//! over partitions. Adding an entity only probes the indexes with the new
-//! entity's signatures, verifies the surviving candidates, and merges —
+//! entity insertions: per-rule inverted signature indexes, a union-find
+//! over partitions, and the packed `VerifyArena` the batch engine
+//! verifies against. Adding an entity appends it to the arena, probes the
+//! indexes with the new entity's signatures, verifies the surviving
+//! candidates through the arena's exact evaluator, and merges —
 //! `O(candidates)` instead of re-running the whole batch pipeline.
 //!
 //! Two ingredients keep signatures of *old* and *new* entities mutually
@@ -26,8 +28,10 @@
 //! compact (every later id shifts down by one) so the group stays dense.
 //!
 //! The negative phase (pivot selection + partition flagging) is recomputed
-//! on [`IncrementalDime::discovery`] — it is partition-level and cheap
-//! relative to pair discovery.
+//! on every [`IncrementalDime::discovery`], over the maintained arena. It
+//! is not cheap next to an add: in perfbench's traced session runs
+//! (300-row groups growing by 4-row adds, on a 2-vCPU host) one discovery
+//! costs 1.2–1.7 ms, against 0.06–0.17 ms for a 4-row add.
 //!
 //! For an end-to-end walkthrough of streaming discovery see
 //! `examples/streaming_profile.rs`; for serving many live groups over this
@@ -83,6 +87,9 @@ pub struct IncrementalDime {
     /// Per rule: entities whose signatures are wildcards (must be compared
     /// against every entity).
     wildcards: Vec<Vec<u32>>,
+    /// The packed view of `group` every pair is verified through, kept in
+    /// step with it: pushed on add, rebuilt on remove.
+    arena: VerifyArena,
     /// Candidate pairs actually verified (positive-rule evaluations) over
     /// the engine's lifetime — the observability counter surfaced by
     /// `dime-serve` session stats.
@@ -112,6 +119,7 @@ impl IncrementalDime {
             uf: UnionFind::new(0),
             indexes: vec![InvertedIndex::new(); positive.len()],
             wildcards: vec![Vec::new(); positive.len()],
+            arena: VerifyArena::new(&group),
             group,
             positive,
             negative,
@@ -197,7 +205,8 @@ impl IncrementalDime {
     /// union-find are rebuilt, and every entity is re-integrated in id
     /// order — exactly the loop [`IncrementalDime::new`] runs, so the
     /// post-install state is bit-identical to an engine constructed with
-    /// the new rules under the same frozen order. `pairs_verified`
+    /// the new rules under the same frozen order. The arena depends on the
+    /// group alone, so it is kept as is. `pairs_verified`
     /// accumulates across the re-integration (installs do real verify
     /// work, and the counter is a lifetime odometer).
     ///
@@ -232,18 +241,7 @@ impl IncrementalDime {
     /// Adds an entity (ontology nodes auto-mapped) and links it into the
     /// partition structure. Returns its id.
     pub fn add_entity(&mut self, raw_values: &[&str]) -> usize {
-        let sink = Arc::clone(&self.sink);
-        let _op = span(sink.as_ref(), "incremental_add");
-        let before = self.pairs_verified;
-        let id = self.group.push_entity(raw_values);
-        let uid = self.uf.push();
-        debug_assert_eq!(id, uid);
-        self.integrate(id);
-        if sink.enabled() {
-            sink.add("entities_added", 1);
-            sink.add("pairs_verified", self.pairs_verified - before);
-        }
-        id
+        self.add_with(|group| group.push_entity(raw_values))
     }
 
     /// Adds an entity with explicit ontology nodes. Returns its id.
@@ -252,55 +250,25 @@ impl IncrementalDime {
         raw_values: &[&str],
         nodes: &[Option<NodeId>],
     ) -> usize {
+        self.add_with(|group| group.push_entity_with_nodes(raw_values, nodes))
+    }
+
+    /// The one add body: `push` appends the row to the group, then the
+    /// new entity joins the union-find and the arena and is integrated.
+    fn add_with(&mut self, push: impl FnOnce(&mut Group) -> usize) -> usize {
         let sink = Arc::clone(&self.sink);
         let _op = span(sink.as_ref(), "incremental_add");
         let before = self.pairs_verified;
-        let id = self.group.push_entity_with_nodes(raw_values, nodes);
+        let id = push(&mut self.group);
         let uid = self.uf.push();
         debug_assert_eq!(id, uid);
+        self.arena.push(&self.group, id);
         self.integrate(id);
         if sink.enabled() {
             sink.add("entities_added", 1);
             sink.add("pairs_verified", self.pairs_verified - before);
         }
         id
-    }
-
-    /// Adds a batch of entities in one pass, returning their ids in input
-    /// order. Bit-identical to calling [`IncrementalDime::add_entity`] on
-    /// each row in order: every row is pushed into the group first (token
-    /// ids and entity ids are assigned exactly as the sequential path
-    /// assigns them), then each row is integrated in id order against the
-    /// same frozen token order and rule plans. Signatures depend only on
-    /// an entity's own value, the frozen order, and the static ontology
-    /// depth floor — never on how many rows arrived in one call — so the
-    /// index contents, candidate sets, union-find merges and
-    /// `pairs_verified` all come out identical (pinned by the
-    /// `prop_batched_add_equals_sequential` differential proptest below).
-    ///
-    /// This is the amortization point the serve-layer verify pool batches
-    /// into: one lock acquisition and one trace envelope per run of
-    /// coalesced `add` ops instead of one per row.
-    pub fn add_entities(&mut self, rows: &[Vec<String>]) -> Vec<usize> {
-        let sink = Arc::clone(&self.sink);
-        let mut ids = Vec::with_capacity(rows.len());
-        for values in rows {
-            let refs: Vec<&str> = values.iter().map(String::as_str).collect();
-            let id = self.group.push_entity(&refs);
-            let uid = self.uf.push();
-            debug_assert_eq!(id, uid);
-            ids.push(id);
-        }
-        for &id in &ids {
-            let _op = span(sink.as_ref(), "incremental_add");
-            let before = self.pairs_verified;
-            self.integrate(id);
-            if sink.enabled() {
-                sink.add("entities_added", 1);
-                sink.add("pairs_verified", self.pairs_verified - before);
-            }
-        }
-        ids
     }
 
     /// Removes the entity with id `id`, returning `false` (and changing
@@ -313,9 +281,10 @@ impl IncrementalDime {
     /// properties, so removing a non-member cannot invalidate them, and
     /// links never cross partition boundaries. Only the removed entity's
     /// partition is re-discovered among its remaining members (it may
-    /// split when the removed entity was the bridge). The per-rule
-    /// inverted indexes are re-derived under the *same* frozen token order
-    /// and rule plans, so later insertions stay comparable.
+    /// split when the removed entity was the bridge), verifying through the
+    /// arena rebuilt from the compacted group. The per-rule inverted
+    /// indexes are re-derived under the *same* frozen token order and rule
+    /// plans, so later insertions stay comparable.
     pub fn remove_entity(&mut self, id: usize) -> bool {
         if id >= self.group.len() {
             return false;
@@ -329,6 +298,7 @@ impl IncrementalDime {
             .position(|c| c.binary_search(&id).is_ok())
             .expect("every entity sits in exactly one component");
         self.group.remove_entity(id);
+        self.arena = VerifyArena::new(&self.group);
         let shift = |e: usize| if e > id { e - 1 } else { e };
 
         // Surviving components keep their merges verbatim.
@@ -354,8 +324,7 @@ impl IncrementalDime {
                     continue;
                 }
                 self.pairs_verified += 1;
-                let (ea, eb) = (self.group.entity(a), self.group.entity(b));
-                if self.positive.iter().any(|r| r.eval(&self.group, ea, eb)) {
+                if self.positive.iter().any(|r| self.arena.eval_rule(r, a, b)) {
                     uf.union(a, b);
                 }
             }
@@ -409,7 +378,7 @@ impl IncrementalDime {
                     // Wildcard: verify against every existing entity.
                     for other in 0..eid {
                         Self::try_link(
-                            &self.group,
+                            &self.arena,
                             &mut self.uf,
                             &mut self.pairs_verified,
                             &rule,
@@ -433,7 +402,7 @@ impl IncrementalDime {
                     cands.dedup();
                     for other in cands {
                         Self::try_link(
-                            &self.group,
+                            &self.arena,
                             &mut self.uf,
                             &mut self.pairs_verified,
                             &rule,
@@ -450,7 +419,7 @@ impl IncrementalDime {
     }
 
     fn try_link(
-        group: &Group,
+        arena: &VerifyArena,
         uf: &mut UnionFind,
         pairs_verified: &mut u64,
         rule: &Rule,
@@ -461,13 +430,13 @@ impl IncrementalDime {
             return;
         }
         *pairs_verified += 1;
-        if rule.eval(group, group.entity(a), group.entity(b)) {
+        if arena.eval_rule(rule, a, b) {
             uf.union(a, b);
         }
     }
 
     /// Computes the current [`Discovery`]: partitions from the maintained
-    /// union-find, then the negative phase from scratch.
+    /// union-find, then the negative phase over the maintained arena.
     ///
     /// # Panics
     ///
@@ -480,9 +449,15 @@ impl IncrementalDime {
         let pivot = pick_pivot(&partitions);
         drop(union_span);
         let mut ctx = SigContext::with_frozen_order(&self.group, &self.order);
-        let arena = VerifyArena::new(&self.group);
-        let (steps, witnesses) =
-            negative_phase(&arena, &mut ctx, &self.negative, &partitions, pivot, 1, sink.as_ref());
+        let (steps, witnesses) = negative_phase(
+            &self.arena,
+            &mut ctx,
+            &self.negative,
+            &partitions,
+            pivot,
+            1,
+            sink.as_ref(),
+        );
         Discovery { partitions, pivot, steps, witnesses }
     }
 }
@@ -709,6 +684,7 @@ mod tests {
                 }
             }
             prop_assert_eq!(inc.len(), rows.len());
+            prop_assert_eq!(&inc.arena, &VerifyArena::new(inc.group()));
             if !rows.is_empty() {
                 let d = inc.discovery();
                 prop_assert_eq!(d, discover_naive(&batch_group(&rows), &pos, &neg));
@@ -734,6 +710,7 @@ mod tests {
         }
         inc.remove_entity(2);
         inc.set_rules(pos.clone(), neg.clone());
+        assert_eq!(inc.arena, VerifyArena::new(inc.group()));
         assert_eq!(inc.positive_rules(), &pos[..]);
         assert_eq!(inc.negative_rules(), &neg[..]);
         let d = inc.discovery();
@@ -776,112 +753,6 @@ mod tests {
         let mut inc =
             IncrementalDime::new(GroupBuilder::new(schema()).build(), pos.clone(), neg.clone());
         inc.set_rules(neg, pos);
-    }
-
-    #[test]
-    fn batched_add_returns_dense_ids_and_matches_sequential() {
-        let (pos, neg) = rules();
-        let mut batched =
-            IncrementalDime::new(GroupBuilder::new(schema()).build(), pos.clone(), neg.clone());
-        let mut sequential = IncrementalDime::new(GroupBuilder::new(schema()).build(), pos, neg);
-        let rows: Vec<Vec<String>> = [
-            ("entity matching", "ann, bob"),
-            ("entity matching redux", "ann, bob, carol"),
-            ("organic synthesis", "dora"),
-        ]
-        .iter()
-        .map(|(t, a)| vec![t.to_string(), a.to_string()])
-        .collect();
-        let ids = batched.add_entities(&rows);
-        assert_eq!(ids, vec![0, 1, 2]);
-        for row in &rows {
-            let refs: Vec<&str> = row.iter().map(String::as_str).collect();
-            sequential.add_entity(&refs);
-        }
-        assert_eq!(batched.pairs_verified(), sequential.pairs_verified());
-        assert_eq!(batched.discovery(), sequential.discovery());
-    }
-
-    #[test]
-    fn batched_add_reports_per_row_trace_spans() {
-        use dime_trace::Recorder;
-        let (pos, neg) = rules();
-        let rec = Arc::new(Recorder::new());
-        let mut inc = IncrementalDime::new(GroupBuilder::new(schema()).build(), pos, neg)
-            .with_sink(rec.clone());
-        inc.add_entities(&[
-            vec!["a".to_string(), "ann, bob".to_string()],
-            vec!["b".to_string(), "ann, bob".to_string()],
-        ]);
-        let report = rec.snapshot();
-        assert_eq!(report.counter("entities_added"), 2);
-        assert_eq!(report.counter("pairs_verified"), inc.pairs_verified());
-        let adds = report.phases.iter().find(|p| p.name == "incremental_add").unwrap();
-        assert_eq!(adds.count, 2, "one incremental_add span per batched row");
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-        /// The batching invariant the serve-layer verify pool relies on:
-        /// any split of an add/remove script into batched-add runs yields
-        /// state bit-identical to applying the same script one row at a
-        /// time — same `pairs_verified`, same `discovery()`.
-        #[test]
-        fn prop_batched_add_equals_sequential(
-            ops in proptest::collection::vec(
-                (proptest::bool::ANY, proptest::collection::vec(0u32..10, 0..5), 0usize..16),
-                1..16,
-            ),
-            splits in proptest::collection::vec(1usize..4, 1..16),
-        ) {
-            let (pos, neg) = rules();
-            let mut batched =
-                IncrementalDime::new(GroupBuilder::new(schema()).build(), pos.clone(), neg.clone());
-            let mut sequential =
-                IncrementalDime::new(GroupBuilder::new(schema()).build(), pos, neg);
-            let mut live = 0usize;
-            let mut pending: Vec<Vec<String>> = Vec::new();
-            let flush = |batched: &mut IncrementalDime,
-                             sequential: &mut IncrementalDime,
-                             pending: &mut Vec<Vec<String>>| {
-                let ids = batched.add_entities(pending);
-                let mut seq_ids = Vec::new();
-                for row in pending.iter() {
-                    let refs: Vec<&str> = row.iter().map(String::as_str).collect();
-                    seq_ids.push(sequential.add_entity(&refs));
-                }
-                pending.clear();
-                (ids, seq_ids)
-            };
-            for (i, (is_remove, list, pick)) in ops.iter().enumerate() {
-                if *is_remove && live > 0 {
-                    // Removals interleave with batches: flush first, so the
-                    // batched engine sees the same row set.
-                    let (ids, seq_ids) = flush(&mut batched, &mut sequential, &mut pending);
-                    prop_assert_eq!(ids, seq_ids);
-                    let id = pick % live;
-                    prop_assert!(batched.remove_entity(id));
-                    prop_assert!(sequential.remove_entity(id));
-                    live -= 1;
-                } else {
-                    let joined: Vec<String> = list.iter().map(|x| format!("a{x}")).collect();
-                    pending.push(vec![format!("t{}", i % 3), joined.join(", ")]);
-                    live += 1;
-                    let batch_max = splits[i % splits.len()];
-                    if pending.len() >= batch_max {
-                        let (ids, seq_ids) = flush(&mut batched, &mut sequential, &mut pending);
-                        prop_assert_eq!(ids, seq_ids);
-                    }
-                }
-            }
-            let (ids, seq_ids) = flush(&mut batched, &mut sequential, &mut pending);
-            prop_assert_eq!(ids, seq_ids);
-            prop_assert_eq!(batched.pairs_verified(), sequential.pairs_verified());
-            prop_assert_eq!(batched.len(), sequential.len());
-            if !batched.is_empty() {
-                prop_assert_eq!(batched.discovery(), sequential.discovery());
-            }
-        }
     }
 
     proptest! {

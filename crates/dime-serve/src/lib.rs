@@ -15,8 +15,8 @@
 //!   [`SessionStore`](session::SessionStore), with per-request panic
 //!   isolation, admission limits, backpressure (the retryable
 //!   `overloaded` error), idle timeouts, and graceful drain-on-shutdown;
-//!   every `add_entities` — alone or coalesced with its neighbors — runs
-//!   through one batch core;
+//!   every request, `add_entities` included, is one op through one
+//!   handler;
 //! * [`Client`] — a small blocking client library;
 //! * [`metrics`](crate::metrics) — per-session and global counters
 //!   surfaced by the `stats` operation;

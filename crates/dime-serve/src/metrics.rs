@@ -121,9 +121,6 @@ pub struct GlobalMetrics {
     /// Requests rejected at admission with the retryable `overloaded`
     /// error because the verify queue was full.
     pub overloaded: AtomicU64,
-    /// `add` operations that rode a coalesced verify batch of two or more
-    /// ops — the amortization the batched signature/index pass buys.
-    pub coalesced_adds: AtomicU64,
     /// Sessions created over the server's lifetime.
     pub sessions_created: AtomicU64,
     /// Sessions closed over the server's lifetime.
@@ -138,11 +135,6 @@ impl GlobalMetrics {
     /// Bumps a counter by one.
     pub fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed); // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
-    }
-
-    /// Adds `n` to a counter.
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed); // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
     }
 
     /// Snapshot of every counter. `sessions_live` and `live` (the live
@@ -162,7 +154,6 @@ impl GlobalMetrics {
             "errors": self.errors.load(Ordering::Relaxed), // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
             "oversized_frames": self.oversized_frames.load(Ordering::Relaxed), // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
             "overloaded": self.overloaded.load(Ordering::Relaxed), // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
-            "coalesced_adds": self.coalesced_adds.load(Ordering::Relaxed), // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
             "sessions": {
                 "created": self.sessions_created.load(Ordering::Relaxed), // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
                 "closed": self.sessions_closed.load(Ordering::Relaxed), // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values

@@ -5,12 +5,11 @@
 //! * a **CPU-bound verify pool** of scoped worker threads (the
 //!   `std::thread::scope` idiom of `dime-core/src/par.rs`) that runs
 //!   [`handle_request`] against the sharded [`SessionStore`]. The pool
-//!   pulls decoded ops off a *bounded* queue — a full queue is
-//!   backpressure, answered with the retryable `overloaded` error — and
-//!   sends every `add` through one batch core, coalescing consecutive
-//!   adds for the same session into one signature/index/verify pass that
-//!   is bit-identical to sequential adds (`IncrementalDime::add_entities`).
-//!   A lone add is a batch of one.
+//!   pulls decoded ops off a *bounded* queue one at a time — a full queue
+//!   is backpressure, answered with the retryable `overloaded` error. An
+//!   `add_entities` op takes the session lock once, feeds its rows to
+//!   `IncrementalDime::add_entity` in order, and logs them as one WAL
+//!   batch.
 //!
 //! Each connection's frames are read through the size-capped
 //! [`FrameReader`](crate::FrameReader), dispatched, and answered in
@@ -58,17 +57,12 @@ pub struct ServeConfig {
     /// Bound of the admission→verify op queue. A full queue answers
     /// `overloaded` instead of buffering without limit.
     pub queue_capacity: usize,
-    /// Most `add` ops the verify pool coalesces into one batched
-    /// signature/index/verify pass.
-    pub batch_max: usize,
     /// Hard cap on one request or response frame, in bytes.
     pub max_frame_bytes: usize,
     /// Admission limit on entities per `create_session`/`add_entities`.
     pub max_entities_per_request: usize,
     /// Cap on concurrently live sessions.
     pub max_sessions: usize,
-    /// Shard count of the session store.
-    pub session_shards: usize,
     /// Poll-loop granularity — how often the admission loop re-checks
     /// the shutdown flag and sweeps idle connections; also the unit of
     /// the drain grace period.
@@ -119,11 +113,9 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
             queue_capacity: 1024,
-            batch_max: 32,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             max_entities_per_request: 4096,
             max_sessions: 4096,
-            session_shards: 8,
             poll_interval: Duration::from_millis(25),
             idle_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
@@ -170,7 +162,7 @@ impl Shared {
             None => None,
         };
         Ok(Self {
-            store: SessionStore::new(config.session_shards, config.max_sessions),
+            store: SessionStore::new(config.max_sessions),
             metrics: GlobalMetrics::default(),
             recorder: Arc::new(Recorder::new()),
             persistence,
@@ -368,14 +360,10 @@ fn complete(
     let _ = done.send(Completion { conn, seq, frame, shutdown });
 }
 
-/// One verify-pool thread: pulls ops off the bounded queue until the
-/// admission loop hangs up. Every `add` goes through [`handle_add_batch`]:
-/// a run of consecutive adds for the same session is coalesced into one
-/// batched pass, and a lone add is a batch of one. Holding the receiver
-/// lock across `recv` is deliberate: exactly one idle worker blocks on
-/// the channel, and the coalescing `try_recv` run happens under the same
-/// guard, so a run of same-session adds is not split across workers
-/// racing on the queue.
+/// One verify-pool thread: pulls ops off the bounded queue one at a time
+/// until the admission loop hangs up, and answers each through
+/// [`handle_request`]. Holding the receiver lock across `recv` is
+/// deliberate: exactly one idle worker blocks on the channel.
 fn verify_worker(
     rx: &Mutex<mpsc::Receiver<OpJob>>,
     done: &mpsc::Sender<Completion>,
@@ -383,153 +371,61 @@ fn verify_worker(
     shared: &Shared,
     queue_depth: &AtomicU64,
 ) {
-    let batch_max = shared.config.batch_max.max(1);
-    // An op popped while probing for a coalescible run but belonging to a
-    // different session/op carries over as the next batch's head.
-    let mut carry: Option<OpJob> = None;
     loop {
-        // A carried head must be processed WITHOUT waiting on the
-        // receiver lock: an idle sibling holds that lock blocked in
-        // `recv`, and with the queue quiet it would never release it —
-        // the carried op would strand forever. Coalescing onto a carried
-        // head is therefore opportunistic (`try_lock`); a fresh head
-        // keeps the guard it took for `recv` and coalesces under it.
-        let (head, guard) = match carry.take() {
-            Some(job) => (job, rx.try_lock().ok()),
-            None => {
-                let g = lock(rx);
-                match g.recv() {
-                    Ok(job) => {
-                        // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
-                        queue_depth.fetch_sub(1, Ordering::Relaxed);
-                        (job, Some(g))
-                    }
-                    Err(_) => return,
-                }
-            }
-        };
-        let OpJob { conn, seq, req } = head;
-        let (session, entities) = match req {
-            Request::AddEntities { session, entities } => (session, entities),
-            req => {
-                drop(guard);
-                let is_shutdown = matches!(req, Request::Shutdown);
-                let resp = catch_unwind(AssertUnwindSafe(|| handle_request(&req, shared)))
-                    .unwrap_or_else(|_| handler_panicked());
-                complete(done, shared, conn, seq, resp, is_shutdown);
-                waker.wake();
-                continue;
-            }
-        };
-        // Connection, response slot and rows of every add in the run.
-        let mut run = vec![(conn, seq, entities)];
-        if let Some(g) = guard.as_ref() {
-            while run.len() < batch_max {
-                let Ok(job) = g.try_recv() else { break };
-                // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
-                queue_depth.fetch_sub(1, Ordering::Relaxed);
-                match job.req {
-                    Request::AddEntities { session: s, entities } if s == session => {
-                        run.push((job.conn, job.seq, entities));
-                    }
-                    req => {
-                        carry = Some(OpJob { conn: job.conn, seq: job.seq, req });
-                        break;
-                    }
-                }
-            }
-        }
-        drop(guard);
-        if run.len() >= 2 {
-            GlobalMetrics::add(&shared.metrics.coalesced_adds, run.len() as u64);
-            if shared.recorder.enabled() {
-                shared.recorder.latency("verify_batch_size", run.len() as u64);
-            }
-        }
-        let requests: Vec<&[Value]> = run.iter().map(|(_, _, rows)| rows.as_slice()).collect();
-        let responses =
-            catch_unwind(AssertUnwindSafe(|| handle_add_batch(session, &requests, shared)))
-                .unwrap_or_else(|_| requests.iter().map(|_| handler_panicked()).collect());
-        for ((conn, seq, _), resp) in run.iter().zip(responses) {
-            complete(done, shared, *conn, *seq, resp, false);
-        }
+        let Ok(OpJob { conn, seq, req }) = lock(rx).recv() else { return };
+        // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
+        queue_depth.fetch_sub(1, Ordering::Relaxed);
+        let is_shutdown = matches!(req, Request::Shutdown);
+        let resp = catch_unwind(AssertUnwindSafe(|| handle_request(&req, shared)))
+            .unwrap_or_else(|_| Response::err(ErrorCode::Internal, "request handler panicked"));
+        complete(done, shared, conn, seq, resp, is_shutdown);
         waker.wake();
     }
 }
 
-fn handler_panicked() -> Response {
-    Response::err(ErrorCode::Internal, "request handler panicked")
-}
-
-/// The one `add_entities` core, for a lone add and a coalesced run of
-/// adds to one session alike. Every request is admitted or rejected on
-/// its own, in queue order — the entity limit before the session lookup,
-/// a bad row rejecting its whole request (and only its request) — but
-/// all admitted rows go through **one** `IncrementalDime::add_entities`
-/// pass and one WAL batch append. Per-request responses are
-/// byte-identical to dispatching the requests one at a time: ids are
-/// split back out of the batch, and each `entities` count reflects only
-/// the rows applied *through* that request.
-fn handle_add_batch(session: u64, requests: &[&[Value]], shared: &Shared) -> Vec<Response> {
-    let limit = shared.config.max_entities_per_request;
+/// The `add_entities` handler. The entity limit is checked before the
+/// session lookup, and every row is validated before anything mutates, so
+/// no row of a rejected request lands. The admitted rows then go through
+/// the engine in order and into one WAL batch: one fsync decision for the
+/// whole request.
+fn handle_add(session: u64, entities: &[Value], shared: &Shared) -> Response {
+    if let Err(resp) =
+        entity_limit("request", entities.len(), shared.config.max_entities_per_request)
+    {
+        return resp;
+    }
     let Some(sess) = shared.store.get(session) else {
-        return requests
-            .iter()
-            .map(|entities| match entity_limit("request", entities.len(), limit) {
-                Ok(()) => no_such_session(session),
-                Err(resp) => resp,
-            })
-            .collect();
+        return no_such_session(session);
     };
     let mut guard = lock(&sess);
     let sess = &mut *guard;
+    sess.metrics.requests += 1;
     let names: Vec<&str> = sess.attr_names.iter().map(String::as_str).collect();
-    let base_len = sess.engine.len();
-
-    // Validate every row of a request before anything mutates, so no row
-    // of a rejected request lands; `admitted` keeps each request's row
-    // count or its rejection.
-    let mut all_rows: Vec<Vec<String>> = Vec::new();
-    let admitted: Vec<Result<usize, Response>> = requests
+    let rows = match entities
         .iter()
-        .map(|entities| {
-            entity_limit("request", entities.len(), limit)?;
-            sess.metrics.requests += 1;
-            let rows = entities
-                .iter()
-                .enumerate()
-                .map(|(i, row)| {
-                    entity_row_values(row, &names).map_err(|e| {
-                        Response::err(ErrorCode::BadRequest, format!("entity {i}: {}", e.message))
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let n = rows.len();
-            all_rows.extend(rows);
-            Ok(n)
+        .enumerate()
+        .map(|(i, row)| {
+            entity_row_values(row, &names).map_err(|e| {
+                Response::err(ErrorCode::BadRequest, format!("entity {i}: {}", e.message))
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()
+    {
+        Ok(rows) => rows,
+        Err(resp) => return resp,
+    };
+    let ids: Vec<usize> = rows
+        .iter()
+        .map(|values| {
+            let refs: Vec<&str> = values.iter().map(String::as_str).collect();
+            sess.engine.add_entity(&refs)
         })
         .collect();
-
-    let ids = sess.engine.add_entities(&all_rows);
     sess.metrics.entities_added += ids.len() as u64;
     if let Some(p) = sess.persist.as_mut() {
-        p.log_add_batch(all_rows);
+        p.log_add_batch(rows);
     }
-
-    let mut rest = ids.as_slice();
-    let mut applied = base_len;
-    admitted
-        .into_iter()
-        .map(|plan| match plan {
-            Err(resp) => resp,
-            Ok(n) => {
-                let (req_ids, tail) = rest.split_at(n.min(rest.len()));
-                rest = tail;
-                applied += n;
-                Response::Ok(json!({"ids": req_ids, "entities": applied}))
-            }
-        })
-        .collect()
+    Response::Ok(json!({"ids": ids, "entities": sess.engine.len()}))
 }
 
 /// The admission limit on entities per request; `what` names the
@@ -613,11 +509,7 @@ fn handle_request(req: &Request, shared: &Shared) -> Response {
             GlobalMetrics::bump(&shared.metrics.sessions_created);
             Response::Ok(json!({"session": id, "entities": entities}))
         }
-        Request::AddEntities { session, entities } => {
-            handle_add_batch(*session, &[entities.as_slice()], shared)
-                .pop()
-                .unwrap_or_else(|| Response::err(ErrorCode::Internal, "add produced no response"))
-        }
+        Request::AddEntities { session, entities } => handle_add(*session, entities, shared),
         Request::RemoveEntity { session, entity } => {
             let Some(sess) = shared.store.get(*session) else {
                 return no_such_session(*session);
@@ -1354,81 +1246,24 @@ mod tests {
         assert!(v["counters"]["entities_added"].as_u64().unwrap() >= 2);
     }
 
-    /// The coalesced dispatch contract: a batch of `add` requests run
-    /// through `handle_add_batch` produces responses byte-identical to
-    /// dispatching the same requests one at a time — including a
-    /// mid-batch row rejection and a mid-batch over-limit rejection,
-    /// which must fail alone without disturbing their neighbors' ids or
-    /// `entities` counts — and the engines agree bit-identically after.
+    /// The entity limit is checked before the session lookup: an
+    /// oversized add to a missing session is `too_many_entities`, a
+    /// normal one `no_such_session`.
     #[test]
-    fn batched_add_dispatch_matches_sequential() {
-        let batched = shared();
-        let sequential = shared();
-        let id = create(&batched);
-        assert_eq!(create(&sequential), id);
-        let requests: Vec<Vec<Value>> = vec![
-            vec![json!(["t1", "ann, bob"]), json!(["t2", "ann, bob, carl"])],
-            vec![json!(["arity mismatch"])],
-            (0..9).map(|i| json!([format!("x{i}"), "ann"])).collect(),
-            vec![json!(["t3", "dora"]), json!(["t4", "ann, bob"])],
-        ];
-        let run: Vec<&[Value]> = requests.iter().map(Vec::as_slice).collect();
-
-        let batch_resps = handle_add_batch(id, &run, &batched);
-        let seq_resps: Vec<Response> = requests
-            .iter()
-            .map(|entities| {
-                handle_request(
-                    &Request::AddEntities { session: id, entities: entities.clone() },
-                    &sequential,
-                )
-            })
-            .collect();
-        assert_eq!(batch_resps, seq_resps);
-
-        let Response::Ok(last) = &batch_resps[3] else { panic!("final add must succeed") };
-        assert_eq!(last["ids"], json!([2, 3]), "ids must split across the batch densely");
-        assert_eq!(last["entities"], 4);
-        assert_eq!(
-            comparable(discovery_of(&batched, id)),
-            comparable(discovery_of(&sequential, id))
-        );
-    }
-
-    #[test]
-    fn batched_add_to_missing_session_rejects_every_op() {
+    fn add_to_missing_session_checks_the_limit_first() {
         let s = shared();
-        let one = [json!(["t", "ann"])];
-        let resps = handle_add_batch(99, &[&one[..], &[]], &s);
-        assert_eq!(resps.len(), 2);
-        for resp in resps {
-            expect_err(resp, ErrorCode::NoSuchSession);
-        }
-    }
-
-    /// The entity limit is checked before the session lookup, in a
-    /// coalesced run exactly as for a lone add: an oversized op sent to a
-    /// missing session is `too_many_entities`, its neighbor
-    /// `no_such_session`.
-    #[test]
-    fn batched_add_to_missing_session_checks_the_limit_first() {
         let oversized: Vec<Value> = (0..9).map(|i| json!([format!("x{i}"), "ann"])).collect();
-        let normal = vec![json!(["t", "ann"])];
-        let s = shared();
-        let batch_resps = handle_add_batch(99, &[&oversized[..], &normal[..]], &s);
-        let seq_resps: Vec<Response> = [oversized, normal]
-            .into_iter()
-            .map(|entities| handle_request(&Request::AddEntities { session: 99, entities }, &s))
-            .collect();
-        assert_eq!(batch_resps, seq_resps);
-        let codes: Vec<ErrorCode> = batch_resps
-            .into_iter()
-            .map(|resp| match resp {
-                Response::Err { code, .. } => code,
-                Response::Ok(v) => panic!("add to a missing session succeeded: {v}"),
-            })
-            .collect();
-        assert_eq!(codes, [ErrorCode::TooManyEntities, ErrorCode::NoSuchSession]);
+        expect_err(
+            handle_request(&Request::AddEntities { session: 99, entities: oversized }, &s),
+            ErrorCode::TooManyEntities,
+        );
+        expect_err(
+            handle_request(
+                &Request::AddEntities { session: 99, entities: vec![json!(["t", "ann"])] },
+                &s,
+            ),
+            ErrorCode::NoSuchSession,
+        );
     }
 
     /// Count of `name` spans the shared recorder has seen.

@@ -77,6 +77,9 @@ impl Session {
     }
 }
 
+/// Shard count of the session store.
+const SHARDS: usize = 8;
+
 /// A sharded map from session id to live session.
 pub struct SessionStore {
     shards: Vec<Mutex<HashMap<u64, Arc<Mutex<Session>>>>>,
@@ -86,12 +89,10 @@ pub struct SessionStore {
 }
 
 impl SessionStore {
-    /// Builds a store with the given shard count (minimum 1) and cap on
-    /// concurrently live sessions.
-    pub fn new(shards: usize, max_sessions: usize) -> Self {
-        let shards = shards.max(1);
+    /// Builds an empty store with a cap on concurrently live sessions.
+    pub fn new(max_sessions: usize) -> Self {
         Self {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             next_id: AtomicU64::new(1),
             live: AtomicU64::new(0),
             max_sessions,
@@ -208,7 +209,7 @@ mod tests {
 
     #[test]
     fn insert_get_remove_roundtrip() {
-        let store = SessionStore::new(4, 8);
+        let store = SessionStore::new(8);
         let id = store.insert(Session::new(engine())).unwrap();
         assert!(store.get(id).is_some());
         assert_eq!(store.len(), 1);
@@ -220,7 +221,7 @@ mod tests {
 
     #[test]
     fn ids_are_never_reused() {
-        let store = SessionStore::new(2, 8);
+        let store = SessionStore::new(8);
         let a = store.insert(Session::new(engine())).unwrap();
         assert!(store.remove(a));
         let b = store.insert(Session::new(engine())).unwrap();
@@ -229,7 +230,7 @@ mod tests {
 
     #[test]
     fn restore_raises_the_id_floor() {
-        let store = SessionStore::new(2, 8);
+        let store = SessionStore::new(8);
         store.restore(7, Session::new(engine()));
         assert!(store.get(7).is_some());
         assert_eq!(store.len(), 1);
@@ -239,7 +240,7 @@ mod tests {
 
     #[test]
     fn cap_rejects_and_frees_on_remove() {
-        let store = SessionStore::new(2, 2);
+        let store = SessionStore::new(2);
         let a = store.insert(Session::new(engine())).unwrap();
         let _b = store.insert(Session::new(engine())).unwrap();
         assert!(store.insert(Session::new(engine())).is_none());
@@ -249,7 +250,7 @@ mod tests {
 
     #[test]
     fn pairs_verified_sums_across_sessions() {
-        let store = SessionStore::new(2, 8);
+        let store = SessionStore::new(8);
         for _ in 0..2 {
             let mut s = Session::new(engine());
             s.engine.add_entity(&["ann"]);

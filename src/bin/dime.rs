@@ -7,7 +7,7 @@
 //! dime check-rules --group <group.json> --rules <rules.txt>
 //! dime stats    --group <group.json>
 //! dime serve    [--addr H:P] [--workers N] [--max-frame-bytes N] [--max-entities N] [--max-sessions N]
-//!               [--queue-capacity N] [--batch-max N]
+//!               [--queue-capacity N]
 //!               [--data-dir DIR] [--fsync always|never|interval[:ms]] [--snapshot-every N]
 //! dime client   --addr H:P <op> [op args]
 //! dime rules    check --spec <file.rulespec> --group <group.json>
@@ -95,7 +95,7 @@ fn print_usage() {
          \x20 dime stats --group <group.json>\n\
          \x20 dime learn --group <group.json> --truth <ids.json>\n\
          \x20 dime serve [--addr H:P] [--workers N] [--max-frame-bytes N] [--max-entities N] [--max-sessions N]\n\
-         \x20            [--queue-capacity N] [--batch-max N]\n\
+         \x20            [--queue-capacity N]\n\
          \x20            [--data-dir DIR] [--fsync always|never|interval[:ms]] [--snapshot-every N]\n\
          \x20 dime client --addr H:P <ping|create|add|remove|discovery|scrollbar|stats|trace|close|shutdown> [op args]\n\
          \x20 dime rules check --spec <file.rulespec> --group <group.json>\n\
@@ -487,13 +487,12 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         addr: flag_value(args, "--addr").unwrap_or("127.0.0.1:7878").to_string(),
         ..ServeConfig::default()
     };
-    let knobs: [(&str, &mut usize); 6] = [
+    let knobs: [(&str, &mut usize); 5] = [
         ("--workers", &mut config.workers),
         ("--max-frame-bytes", &mut config.max_frame_bytes),
         ("--max-entities", &mut config.max_entities_per_request),
         ("--max-sessions", &mut config.max_sessions),
         ("--queue-capacity", &mut config.queue_capacity),
-        ("--batch-max", &mut config.batch_max),
     ];
     for (key, slot) in knobs {
         match numeric_flag(args, key) {

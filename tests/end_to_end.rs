@@ -206,3 +206,47 @@ fn incremental_matches_batch_on_scholar_stream() {
     let d = inc.discovery();
     assert_eq!(d, dime::core::discover_naive(inc.group(), &pos, &neg));
 }
+
+/// A live session's counted work, pinned. A seeded 300-row Scholar page is
+/// replayed into `IncrementalDime`, then grows by 40 adds of 4 rows with a
+/// discovery after each (the shape of a `dime-serve` curation session),
+/// then loses one pivot member. `pairs_verified` is a golden value: a
+/// change to *how* the engine verifies a pair must not change *which*
+/// pairs it verifies.
+#[test]
+fn live_session_work_is_pinned_on_a_scholar_page() {
+    use dime::core::{GroupBuilder, IncrementalDime};
+    use std::sync::Arc;
+    let lg = scholar_page("live", &ScholarConfig::scaled_to(470, 1101));
+    assert!(lg.group.len() >= 460, "page too small: {}", lg.group.len());
+    let (pos, neg) = scholar_rules();
+
+    let schema = lg.group.schema();
+    let mut builder = GroupBuilder::new(schema.clone());
+    for (i, def) in schema.attrs().iter().enumerate() {
+        if let Some(ont) = lg.group.ontology(i) {
+            builder.attach_ontology(&def.name, Arc::new(ont.clone()));
+        }
+    }
+    let mut inc = IncrementalDime::new(builder.build(), pos.clone(), neg.clone());
+    let replay = |inc: &mut IncrementalDime, id: usize| {
+        let e = lg.group.entity(id);
+        let values: Vec<&str> = e.values.iter().map(|v| v.text.as_str()).collect();
+        let nodes: Vec<_> = e.values.iter().map(|v| v.node).collect();
+        inc.add_entity_with_nodes(&values, &nodes);
+    };
+    for id in 0..300 {
+        replay(&mut inc, id);
+    }
+    for add in 0..40 {
+        for id in 300 + 4 * add..304 + 4 * add {
+            replay(&mut inc, id);
+        }
+        let _ = inc.discovery();
+    }
+    let victim = inc.discovery().pivot_members()[0];
+    assert!(inc.remove_entity(victim));
+
+    assert_eq!(inc.pairs_verified(), 41_870);
+    assert_eq!(inc.discovery(), discover_fast(inc.group(), &pos, &neg));
+}

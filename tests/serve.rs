@@ -5,7 +5,9 @@
 
 use dime::core::{discover_fast, parse_rules, GroupBuilder, Polarity, Schema};
 use dime::data::discovery_to_json;
-use dime::serve::{Client, ClientError, ErrorCode, Frame, FrameReader, ServeConfig, Server};
+use dime::serve::{
+    encode_frame, Client, ClientError, ErrorCode, Frame, FrameReader, Request, ServeConfig, Server,
+};
 use dime::text::TokenizerKind;
 use serde_json::{json, Value};
 use std::io::{BufReader, Write};
@@ -252,6 +254,85 @@ fn shutdown_drains_every_inflight_request() {
     runner.join().expect("server thread").expect("server run");
 }
 
+/// Several adds to one session in flight at once: 32 `add_entities`
+/// frames of two rows each, written on one connection before any reply is
+/// read. Every reply comes back in order, and each add lands atomically:
+/// its two ids are consecutive and its `entities` count is the session
+/// size right after it. With one worker the adds also apply in arrival
+/// order, so ids and counts run densely across the replies; with several,
+/// two in-flight adds may apply in either order, so the replies' ids only
+/// partition the new range. Either way the session's discovery equals
+/// `discover_fast` over the rows in id order.
+#[test]
+fn pipelined_adds_to_one_session_answer_in_order() {
+    const ADDS: usize = 32;
+    for workers in [1, 4] {
+        let server = Server::bind(ServeConfig { workers, ..ServeConfig::default() }).expect("bind");
+        let addr = server.local_addr();
+        let handle = server.handle();
+        let runner = std::thread::spawn(move || server.run());
+        let session = seed_session(addr);
+        let mut by_id: Vec<Option<(String, String)>> = vec![
+            Some(("t".into(), "ann, bob".into())),
+            Some(("t".into(), "ann, bob, carl".into())),
+            Some(("t".into(), "dora".into())),
+        ];
+        let base = by_id.len();
+
+        let adds: Vec<[(String, String); 2]> = (0..ADDS)
+            .map(|i| {
+                let row =
+                    |j: usize| (format!("paper {i} {j}"), format!("p{}, p{}", i % 5, j + i % 3));
+                [row(0), row(1)]
+            })
+            .collect();
+        let mut s = TcpStream::connect(addr).expect("connect");
+        let burst: String = adds
+            .iter()
+            .map(|rows| {
+                let entities = rows.iter().map(|(t, a)| json!([t, a])).collect();
+                encode_frame(&Request::AddEntities { session, entities }.to_value())
+            })
+            .collect();
+        s.write_all(burst.as_bytes()).expect("write burst");
+        s.flush().expect("flush burst");
+
+        by_id.resize(base + 2 * ADDS, None);
+        let mut reader = FrameReader::new(BufReader::new(s), 1 << 20);
+        for (i, rows) in adds.into_iter().enumerate() {
+            let Frame::Line(line) = reader.read_frame().expect("read reply") else {
+                panic!("reply {i} dropped")
+            };
+            let v: Value = serde_json::from_str(&line).expect("reply JSON");
+            let ok = v.get("ok").unwrap_or_else(|| panic!("add {i} failed: {line}"));
+            let ids: Vec<usize> = ok["ids"]
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|id| id.as_u64().unwrap() as usize)
+                .collect();
+            assert_eq!(ids.len(), 2, "workers={workers}, reply {i}: {line}");
+            assert_eq!(ids[1], ids[0] + 1, "workers={workers}: one add's ids are consecutive");
+            assert_eq!(ok["entities"], ids[1] + 1, "workers={workers}: count after the add");
+            if workers == 1 {
+                assert_eq!(ids[0], base + 2 * i, "one worker applies adds in arrival order");
+            }
+            for (id, row) in ids.into_iter().zip(rows) {
+                assert!(by_id[id].replace(row).is_none(), "workers={workers}: id {id} reused");
+            }
+        }
+
+        let rows: Vec<(String, String)> =
+            by_id.into_iter().map(|r| r.expect("every new id assigned")).collect();
+        let mut client = Client::connect(addr).expect("connect");
+        let report = client.discovery(session).expect("discovery");
+        assert_eq!(comparable(report), comparable(reference_report(&rows)), "workers={workers}");
+        drop(client);
+        handle.shutdown();
+        runner.join().expect("server thread").expect("server run");
+    }
+}
+
 /// Seeds a session with three entities over a throwaway client and
 /// returns its id.
 fn seed_session(addr: std::net::SocketAddr) -> u64 {
@@ -306,7 +387,6 @@ fn queue_overflow_is_a_retryable_overloaded_error() {
     let server = Server::bind(ServeConfig {
         workers: 1,
         queue_capacity: 1,
-        batch_max: 1,
         poll_interval: std::time::Duration::from_millis(5),
         ..ServeConfig::default()
     })
@@ -347,7 +427,6 @@ fn shutdown_under_queue_pressure_answers_every_accepted_op() {
     let server = Server::bind(ServeConfig {
         workers: 1,
         queue_capacity: 2,
-        batch_max: 1,
         poll_interval: std::time::Duration::from_millis(5),
         ..ServeConfig::default()
     })

@@ -13,7 +13,7 @@
 //! happens to have been written by replication instead of by a local
 //! serve loop.
 
-use crate::repl::{write_repl_frame, ReplFrame};
+use crate::repl::{read_repl_frame, write_repl_frame, ReplFrame};
 use dime_serve::{ServeConfig, Server, ServerHandle};
 use dime_store::wal::recover;
 use dime_store::{
@@ -221,7 +221,8 @@ fn serve_repl_conn(stream: TcpStream, shared: &Shared) {
 /// Waits for the next frame, re-checking the shutdown flag between read
 /// polls. Only the wait for the *first* byte is polled; once a frame has
 /// started arriving the rest is read with a generous timeout, so a poll
-/// boundary can never split a frame.
+/// boundary can never split a frame. The frame itself decodes through
+/// [`read_repl_frame`], fed the consumed byte ahead of the stream.
 fn read_frame_polled(stream: &mut TcpStream, shared: &Shared) -> io::Result<Option<ReplFrame>> {
     use std::io::Read;
     stream.set_read_timeout(Some(shared.config.poll_interval))?;
@@ -244,41 +245,7 @@ fn read_frame_polled(stream: &mut TcpStream, shared: &Shared) -> io::Result<Opti
         }
     }
     stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    let mut rest = Vec::with_capacity(64);
-    rest.extend_from_slice(&first);
-    // Re-frame: we already consumed one header byte, so read the
-    // remaining 7 header bytes manually, then delegate nothing — decode
-    // here with the same logic as `read_repl_frame`.
-    let mut header_rest = [0u8; 7];
-    stream.read_exact(&mut header_rest)?;
-    rest.extend_from_slice(&header_rest);
-    let frame = decode_framed(&rest, stream)?;
-    Ok(Some(frame))
-}
-
-/// Finishes reading a frame whose 8 header bytes are in `header`: pulls
-/// the payload off the stream and CRC-checks it.
-fn decode_framed(header: &[u8], stream: &mut TcpStream) -> io::Result<ReplFrame> {
-    use std::io::Read;
-    let bad = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
-    let len_bytes: [u8; 4] = header
-        .get(..4)
-        .and_then(|s| s.try_into().ok())
-        .ok_or_else(|| bad("short frame header".into()))?;
-    let crc_bytes: [u8; 4] = header
-        .get(4..8)
-        .and_then(|s| s.try_into().ok())
-        .ok_or_else(|| bad("short frame header".into()))?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > dime_store::MAX_PAYLOAD_BYTES as usize {
-        return Err(bad(format!("replication frame of {len} bytes exceeds the payload cap")));
-    }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
-    if dime_store::crc32(&payload) != u32::from_le_bytes(crc_bytes) {
-        return Err(bad("replication frame CRC mismatch".into()));
-    }
-    ReplFrame::decode(&payload)
+    read_repl_frame(&mut first.as_slice().chain(&*stream)).map(Some)
 }
 
 /// Appends one streamed record to the session's mirrored WAL, creating or

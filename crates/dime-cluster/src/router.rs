@@ -5,12 +5,31 @@
 //! shard over a small per-shard connection pool, and fans
 //! `stats`/`trace` out to every shard, merging counters by summation and
 //! latency histograms bucket-wise (the monotone merge of
-//! `dime_trace::Histogram`).
+//! `dime_trace::Histogram`, over `dime_serve::metrics`' histogram codec).
+//!
+//! Admission is `dime-serve`'s own: `route_request` is the request
+//! handler [`Admission::serve`] runs, so client sockets live on one epoll
+//! thread, a full op queue sheds with the retryable `overloaded`, a
+//! panicking handler is answered `internal`, and pipelined replies come
+//! back in request order. Ops from one connection that are in flight
+//! together may reach their shards in either order, exactly as on a
+//! single server.
+//!
+//! Routed ops run on a shared worker pool, so no shard may hold more of
+//! it than its share. Each shard has a lane of `2 × pool_per_shard`
+//! places: `pool_per_shard` ops on pooled connections and as many waiting
+//! for one. An op for a shard whose lane is full is answered at once with
+//! the retryable `overloaded`. The pool has one worker per place, so a
+//! shard that stalls, or runs long discoveries, keeps only its own lane
+//! busy; every wait on a shard (dial, read, write, the wait for a
+//! connection) is bounded by [`SHARD_TIMEOUT`].
 //!
 //! Failure model: a shard IO failure answers the client with the
 //! retryable [`ErrorCode::Unavailable`] — the request was not applied (or
 //! its fate is unknown and the client may resend; see
-//! `Client::with_retry`'s caveat). When health probing is enabled and a
+//! `Client::with_retry`'s caveat). A pooled connection the shard closed
+//! while it sat idle is detected at checkout, before any byte is sent,
+//! and replaced by a fresh dial. When health probing is enabled and a
 //! shard misses `fail_threshold` consecutive probes, the router promotes
 //! the shard's configured follower (the `promote`/`promote_ack` exchange
 //! of [`crate::repl`]), repoints the shard at the promoted address, bumps
@@ -22,17 +41,25 @@
 
 use crate::repl::{connect_with_timeout, read_repl_frame, write_repl_frame, ReplFrame};
 use crate::ring::{Ring, DEFAULT_VNODES};
+use dime_serve::metrics::{histogram_from_value, histogram_to_value, MICROS};
 use dime_serve::{
-    Client, ClientError, ErrorCode, Frame, FrameReader, Request, Response, DEFAULT_MAX_FRAME_BYTES,
+    Admission, Client, ClientError, ErrorCode, Frame, FrameReader, Request, Response, ServeConfig,
+    DEFAULT_MAX_FRAME_BYTES,
 };
-use dime_trace::{Histogram, HistogramSnapshot, BUCKETS};
+use dime_trace::{Histogram, HistogramSnapshot};
 use serde_json::{json, Map, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
+
+/// Budget of one shard round trip: the dial, each read or write on a
+/// pooled connection, and an op's wait for a pooled connection. A shard
+/// silent this long is answered for with `unavailable` and its connection
+/// dropped; the value is the serving side's default idle timeout.
+const SHARD_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Recovers from lock poisoning instead of propagating panics: router
 /// state (pools, the session map) stays usable if a holder panicked.
@@ -84,19 +111,16 @@ pub struct RouterConfig {
     pub shards: Vec<ShardSpec>,
     /// Virtual nodes per shard on the placement ring.
     pub vnodes: usize,
-    /// Hard cap on pooled + in-flight connections per shard. Keep this
-    /// *below* the shard's worker count: pooled connections occupy a
-    /// shard worker for their lifetime, and health probes need a free
-    /// slot.
+    /// Hard cap on pooled + in-flight connections per shard. A shard
+    /// holds idle pooled connections on its poll loop and takes a worker
+    /// only while a request runs, so the cap bounds the router's
+    /// concurrency per shard, not a shard's workers; health probes dial
+    /// their own connection and never wait for a pool slot. As many ops
+    /// again may wait for a connection; past that, an op for the shard is
+    /// answered `overloaded`. The router runs one worker per place,
+    /// `2 × shards × pool_per_shard`, so a shard that stalls holds only
+    /// its own places and never delays another shard's ops.
     pub pool_per_shard: usize,
-    /// Hard cap on one request or response frame, in bytes.
-    pub max_frame_bytes: usize,
-    /// Read-poll granularity of client connections (shutdown checks).
-    pub poll_interval: Duration,
-    /// Client connections idle longer than this are closed.
-    pub idle_timeout: Duration,
-    /// Write timeout per response frame.
-    pub write_timeout: Duration,
     /// Health probing and failover; `None` disables both.
     pub health: Option<HealthConfig>,
 }
@@ -108,17 +132,15 @@ impl Default for RouterConfig {
             shards: Vec::new(),
             vnodes: DEFAULT_VNODES,
             pool_per_shard: 2,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            poll_interval: Duration::from_millis(25),
-            idle_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(10),
             health: None,
         }
     }
 }
 
-/// A capped pool of connections to one shard, tagged with the shard
-/// generation they were dialed under so a failover invalidates them.
+/// The connections of one shard and the lane of ops using them. At most
+/// `cap` ops hold a connection and at most `cap` more wait for one; an op
+/// beyond that is shed. Connections are tagged with the shard generation
+/// they were dialed under so a failover invalidates them.
 struct Pool {
     inner: Mutex<PoolInner>,
     available: Condvar,
@@ -129,12 +151,14 @@ struct PoolInner {
     idle: Vec<(u64, Client)>,
     /// Connections currently checked out or being dialed.
     outstanding: usize,
+    /// Ops waiting for a connection to come back.
+    waiting: usize,
 }
 
 impl Pool {
     fn new(cap: usize) -> Self {
         Self {
-            inner: Mutex::new(PoolInner { idle: Vec::new(), outstanding: 0 }),
+            inner: Mutex::new(PoolInner { idle: Vec::new(), outstanding: 0, waiting: 0 }),
             available: Condvar::new(),
             cap: cap.max(1),
         }
@@ -143,6 +167,7 @@ impl Pool {
 
 /// Live state of one shard slot.
 struct ShardState {
+    slot: usize,
     addr: Mutex<String>,
     follower: Mutex<Option<String>>,
     healthy: AtomicBool,
@@ -157,46 +182,79 @@ impl ShardState {
     }
 
     /// Checks a connection out of the pool, dialing a fresh one when
-    /// under the cap, blocking when at it. Stale-generation idle
-    /// connections are discarded on the way.
-    fn checkout(&self) -> io::Result<(u64, Client)> {
+    /// under the cap and waiting at most `timeout` for one to come back
+    /// when at it. Idle connections that are stale — dialed before a
+    /// failover, or closed by the shard (its idle sweep) — are discarded
+    /// on the way, before anything is sent on them. A full lane answers
+    /// `overloaded` at once; a wait or dial that runs out of time answers
+    /// `unavailable`.
+    fn checkout(&self, timeout: Duration) -> Result<(u64, Client), Response> {
+        let deadline = dime_trace::now_nanos().saturating_add(timeout.as_nanos() as u64);
         let mut inner = lock(&self.pool.inner);
         loop {
             let generation = self.generation.load(Ordering::SeqCst);
             while let Some((tagged, client)) = inner.idle.pop() {
-                if tagged == generation {
+                if tagged == generation && !client.is_stale() {
                     inner.outstanding += 1;
                     return Ok((generation, client));
                 }
-                // Stale: dialed before a failover; drop it.
             }
             if inner.outstanding < self.pool.cap {
                 inner.outstanding += 1;
                 drop(inner);
-                let addr = self.current_addr();
-                return match Client::connect(addr.as_str()) {
-                    Ok(client) => Ok((generation, client)),
-                    Err(e) => {
-                        let mut inner = lock(&self.pool.inner);
-                        inner.outstanding -= 1;
-                        drop(inner);
-                        self.pool.available.notify_one();
-                        Err(e)
-                    }
-                };
+                return self.dial(timeout).map(|client| (generation, client)).map_err(|e| {
+                    self.give_back(None);
+                    Response::err(
+                        ErrorCode::Unavailable,
+                        format!("shard {} unreachable: {e}", self.slot),
+                    )
+                });
             }
-            inner = self.pool.available.wait(inner).unwrap_or_else(|e| e.into_inner());
+            if inner.waiting >= self.pool.cap {
+                return Err(Response::err(
+                    ErrorCode::Overloaded,
+                    format!(
+                        "shard {} has {} ops in flight and as many waiting",
+                        self.slot, self.pool.cap
+                    ),
+                ));
+            }
+            let left = deadline.saturating_sub(dime_trace::now_nanos());
+            if left == 0 {
+                return Err(Response::err(
+                    ErrorCode::Unavailable,
+                    format!("shard {} returned no pooled connection within {timeout:?}", self.slot),
+                ));
+            }
+            inner.waiting += 1;
+            inner = self
+                .pool
+                .available
+                .wait_timeout(inner, Duration::from_nanos(left))
+                .map_or_else(|e| e.into_inner().0, |(guard, _)| guard);
+            inner.waiting -= 1;
         }
     }
 
-    /// Returns a checked-out connection. A connection whose request
-    /// failed, or that outlived its generation, is dropped instead of
-    /// pooled.
-    fn give_back(&self, generation: u64, client: Client, reusable: bool) {
+    /// Dials the shard's current address; connect, and every later read
+    /// or write on the connection, fail after `timeout`.
+    fn dial(&self, timeout: Duration) -> io::Result<Client> {
+        let stream = connect_with_timeout(&self.current_addr(), timeout)?;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
+        Client::from_stream(stream)
+    }
+
+    /// Gives a checked-out connection's place back, pooling the
+    /// connection when one is returned and its generation is current.
+    /// `None` — a failed request or dial — frees the place only.
+    fn give_back(&self, returned: Option<(u64, Client)>) {
         let mut inner = lock(&self.pool.inner);
         inner.outstanding = inner.outstanding.saturating_sub(1);
-        if reusable && generation == self.generation.load(Ordering::SeqCst) {
-            inner.idle.push((generation, client));
+        if let Some((generation, client)) = returned {
+            if generation == self.generation.load(Ordering::SeqCst) {
+                inner.idle.push((generation, client));
+            }
         }
         drop(inner);
         self.pool.available.notify_one();
@@ -215,23 +273,17 @@ impl ShardState {
 
 struct Shared {
     config: RouterConfig,
+    /// Limits, shutdown flag and admission counters of the client side.
+    admission: Admission,
     ring: Ring,
     shards: Vec<ShardState>,
+    /// Budget of one shard round trip: the dial, each read and write on a
+    /// pooled connection, and the wait for a pooled connection.
+    shard_timeout: Duration,
     /// Router session id → (shard slot, shard-local session id).
     sessions: Mutex<HashMap<u64, (usize, u64)>>,
     next_rid: AtomicU64,
     failovers: AtomicU64,
-    shutdown: AtomicBool,
-    addr: SocketAddr,
-}
-
-impl Shared {
-    fn initiate_shutdown(&self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-    }
 }
 
 /// A cloneable handle for observing and stopping a running [`Router`].
@@ -243,17 +295,17 @@ pub struct RouterHandle {
 impl RouterHandle {
     /// The bound address (with the real port when `0` was requested).
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.shared.admission.addr()
     }
 
     /// Initiates graceful shutdown, equivalent to a `shutdown` request.
     pub fn shutdown(&self) {
-        self.shared.initiate_shutdown();
+        self.shared.admission.initiate_shutdown();
     }
 
     /// Whether shutdown has been initiated.
     pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
+        self.shared.admission.is_shutting_down()
     }
 }
 
@@ -264,7 +316,10 @@ pub struct Router {
 }
 
 impl Router {
-    /// Binds the configured address. Requires at least one shard.
+    /// Binds the configured address. Requires at least one shard. The
+    /// admission limits, queue capacity and timeouts are
+    /// [`ServeConfig::default`]'s; the worker count is
+    /// `2 × shards × pool_per_shard`, one per place in the shards' lanes.
     pub fn bind(config: RouterConfig) -> io::Result<Self> {
         if config.shards.is_empty() {
             return Err(io::Error::new(
@@ -275,10 +330,14 @@ impl Router {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let ring = Ring::new(config.shards.len(), config.vnodes.max(1));
+        let workers = 2 * config.shards.len() * config.pool_per_shard.max(1);
+        let admission = Admission::new(ServeConfig { workers, ..ServeConfig::default() }, addr);
         let shards = config
             .shards
             .iter()
-            .map(|spec| ShardState {
+            .enumerate()
+            .map(|(slot, spec)| ShardState {
+                slot,
                 addr: Mutex::new(spec.addr.clone()),
                 follower: Mutex::new(spec.follower.clone()),
                 healthy: AtomicBool::new(true),
@@ -289,20 +348,20 @@ impl Router {
             .collect();
         let shared = Arc::new(Shared {
             config,
+            admission,
             ring,
             shards,
+            shard_timeout: SHARD_TIMEOUT,
             sessions: Mutex::new(HashMap::new()),
             next_rid: AtomicU64::new(1),
             failovers: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            addr,
         });
         Ok(Self { listener, shared })
     }
 
     /// The bound address (with the real port when `0` was requested).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.shared.admission.addr()
     }
 
     /// A handle for stopping the router from another thread.
@@ -310,106 +369,20 @@ impl Router {
         RouterHandle { shared: Arc::clone(&self.shared) }
     }
 
-    /// Serves until shutdown: one thread per client connection, plus the
-    /// health prober when probing is configured.
+    /// Serves until shutdown completes its drain, on `dime-serve`'s
+    /// admission loop and worker pool with `route_request` as the
+    /// handler, plus the health prober when probing is configured.
     pub fn run(self) -> io::Result<()> {
+        let shared = &*self.shared;
         std::thread::scope(|scope| {
-            if self.shared.config.health.is_some() {
-                let shared = Arc::clone(&self.shared);
-                scope.spawn(move || probe_loop(&shared));
+            if shared.config.health.is_some() {
+                scope.spawn(|| probe_loop(shared));
             }
-            for stream in self.listener.incoming() {
-                if self.shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let shared = Arc::clone(&self.shared);
-                scope.spawn(move || serve_connection(stream, &shared));
-            }
-        });
-        Ok(())
+            shared
+                .admission
+                .serve(self.listener, &dime_trace::NOOP, |req| route_request(req, shared))
+        })
     }
-}
-
-/// Serves one client connection on its own thread. Reads time out every
-/// poll interval, which drives the idle timeout and — after shutdown —
-/// the same two-poll drain grace `dime-serve`'s poll loop gives (the
-/// shard pools are the concurrency limit that matters here).
-fn serve_connection(stream: TcpStream, shared: &Shared) {
-    let cfg = &shared.config;
-    if stream.set_read_timeout(Some(cfg.poll_interval)).is_err()
-        || stream.set_write_timeout(Some(cfg.write_timeout)).is_err()
-    {
-        return;
-    }
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = FrameReader::new(io::BufReader::new(stream), cfg.max_frame_bytes);
-    let mut idle = Duration::ZERO;
-    let mut shutdown_polls = 0u32;
-    loop {
-        match reader.read_frame() {
-            Ok(Frame::Eof) => return,
-            Ok(Frame::Oversized) => {
-                idle = Duration::ZERO;
-                shutdown_polls = 0;
-                let resp = Response::err(
-                    ErrorCode::FrameTooLarge,
-                    format!("frame exceeds {} bytes", cfg.max_frame_bytes),
-                );
-                if write_response(&mut writer, &resp).is_err() {
-                    return;
-                }
-            }
-            Ok(Frame::Line(line)) => {
-                idle = Duration::ZERO;
-                shutdown_polls = 0;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let (resp, is_shutdown) = process_line(&line, shared);
-                if write_response(&mut writer, &resp).is_err() {
-                    return;
-                }
-                if is_shutdown {
-                    shared.initiate_shutdown();
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    shutdown_polls += 1;
-                    if shutdown_polls >= 2 {
-                        return;
-                    }
-                } else {
-                    idle += cfg.poll_interval;
-                    if idle >= cfg.idle_timeout {
-                        return;
-                    }
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-fn write_response(writer: &mut TcpStream, resp: &Response) -> io::Result<()> {
-    writer.write_all(dime_serve::encode_frame(&resp.to_value()).as_bytes())?;
-    writer.flush()
-}
-
-fn process_line(line: &str, shared: &Shared) -> (Response, bool) {
-    let req = match dime_serve::decode_line(line) {
-        Ok(r) => r,
-        Err(resp) => return (resp, false),
-    };
-    let is_shutdown = matches!(req, Request::Shutdown);
-    (route_request(&req, shared), is_shutdown)
 }
 
 /// Sends one request to a shard through its pool. IO failures come back
@@ -419,23 +392,21 @@ fn shard_request(shared: &Shared, slot: usize, req: &Request) -> Response {
     let Some(shard) = shared.shards.get(slot) else {
         return Response::err(ErrorCode::Internal, format!("no shard slot {slot}"));
     };
-    let (generation, mut client) = match shard.checkout() {
+    let (generation, mut client) = match shard.checkout(shared.shard_timeout) {
         Ok(c) => c,
-        Err(e) => {
-            return Response::err(ErrorCode::Unavailable, format!("shard {slot} unreachable: {e}"))
-        }
+        Err(resp) => return resp,
     };
     match client.request(req) {
         Ok(resp) => {
-            shard.give_back(generation, client, true);
+            shard.give_back(Some((generation, client)));
             resp
         }
         Err(ClientError::Io(e)) => {
-            shard.give_back(generation, client, false);
+            shard.give_back(None);
             Response::err(ErrorCode::Unavailable, format!("shard {slot} failed mid-request: {e}"))
         }
         Err(e) => {
-            shard.give_back(generation, client, false);
+            shard.give_back(None);
             Response::err(ErrorCode::Internal, format!("shard {slot} protocol error: {e}"))
         }
     }
@@ -468,7 +439,7 @@ fn route_request(req: &Request, shared: &Shared) -> Response {
         Request::Ping => Response::Ok(json!({"pong": true})),
         Request::Shutdown => Response::Ok(json!({"shutting_down": true})),
         Request::CreateSession { .. } => {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if shared.admission.is_shutting_down() {
                 return Response::err(
                     ErrorCode::ShuttingDown,
                     "router is draining; no new sessions",
@@ -560,7 +531,10 @@ fn fan_out(shared: &Shared, req: &Request) -> (Vec<Value>, Vec<bool>) {
     (values, reachable)
 }
 
-/// The router's own contribution to the global stats view.
+/// The router's own contribution to the global stats view: per-shard
+/// state, failovers, routed sessions, and the router's own admission
+/// counters (`connections`, `requests`, `errors`, `oversized_frames`,
+/// `overloaded`), so a shed at the router shows apart from the shards'.
 fn cluster_value(shared: &Shared, reachable: &[bool]) -> Value {
     let shards: Vec<Value> = shared
         .shards
@@ -576,85 +550,30 @@ fn cluster_value(shared: &Shared, reachable: &[bool]) -> Value {
             })
         })
         .collect();
-    json!({
+    let mut v = json!({
         "shards": shards,
         "failovers": shared.failovers.load(Ordering::SeqCst),
         "sessions_routed": lock(&shared.sessions).len(),
-    })
+    });
+    if let Some(obj) = v.as_object_mut() {
+        shared.admission.metrics().write_into(obj);
+    }
+    v
 }
 
 // --- cross-shard merging ------------------------------------------------
 
-/// Whether a JSON object is a serialized histogram aggregate (both the
-/// `_micros`-suffixed latency form and the unit-agnostic trace form
-/// carry a `buckets` array of `[index, count]` pairs).
-fn is_histogram_object(v: &Value) -> bool {
-    v.get("buckets").and_then(Value::as_array).is_some() && v.get("count").is_some()
-}
-
-/// Rebuilds a [`HistogramSnapshot`] from its serialized form. `suffix`
-/// is `"_micros"` for latency aggregates, `""` for trace histograms.
-fn snapshot_of(v: &Value, suffix: &str) -> HistogramSnapshot {
-    let field = |name: &str| {
-        v.get(&format!("{name}{suffix}"))
-            .or_else(|| v.get(name))
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
-    };
-    let mut buckets = [0u64; BUCKETS];
-    if let Some(pairs) = v.get("buckets").and_then(Value::as_array) {
-        for pair in pairs {
-            let Some(cells) = pair.as_array() else { continue };
-            let (Some(i), Some(n)) =
-                (cells.first().and_then(Value::as_u64), cells.get(1).and_then(Value::as_u64))
-            else {
-                continue;
-            };
-            if let Some(cell) = buckets.get_mut(i as usize) {
-                *cell = n;
-            }
-        }
-    }
-    HistogramSnapshot {
-        count: field("count"),
-        total: field("total"),
-        max: field("max"),
-        p50: 0,
-        p95: 0,
-        p99: 0,
-        buckets,
-    }
-}
-
-/// Serializes a merged histogram back into the same shape its inputs
-/// had, quantiles recomputed over the merged buckets.
-fn histogram_value(h: &Histogram, suffix: &str) -> Value {
-    let s = h.snapshot();
-    let pairs: Vec<Value> =
-        s.buckets.iter().enumerate().filter(|(_, &n)| n > 0).map(|(i, &n)| json!([i, n])).collect();
-    let mut obj = Map::new();
-    obj.insert("count".into(), json!(s.count));
-    obj.insert(format!("total{suffix}"), json!(s.total));
-    obj.insert(format!("max{suffix}"), json!(s.max));
-    obj.insert(format!("mean{suffix}"), json!(s.mean()));
-    obj.insert(format!("p50{suffix}"), json!(s.p50));
-    obj.insert(format!("p95{suffix}"), json!(s.p95));
-    obj.insert(format!("p99{suffix}"), json!(s.p99));
-    obj.insert("buckets".into(), Value::Array(pairs));
-    Value::Object(obj)
-}
-
-/// Merges several histogram objects through an actual [`Histogram`], so
-/// the merged quantiles obey the same monotonicity contract as a
-/// single-node merge.
-fn merge_histograms(values: &[&Value]) -> Value {
-    let suffix =
-        if values.iter().any(|v| v.get("total_micros").is_some()) { "_micros" } else { "" };
+/// Merges histogram snapshots through an actual [`Histogram`], so the
+/// merged quantiles obey the same monotonicity contract as a single-node
+/// merge, and re-encodes them under the inputs' key form (`_micros`
+/// when any input carried it).
+fn merge_histograms(decoded: &[(HistogramSnapshot, &str)]) -> Value {
+    let suffix = if decoded.iter().any(|(_, s)| *s == MICROS) { MICROS } else { "" };
     let merged = Histogram::new();
-    for v in values {
-        merged.merge_snapshot(&snapshot_of(v, suffix));
+    for (snapshot, _) in decoded {
+        merged.merge_snapshot(snapshot);
     }
-    histogram_value(&merged, suffix)
+    histogram_to_value(&merged.snapshot(), suffix)
 }
 
 /// Deep-merges per-shard `stats` payloads: numbers sum (`uptime_micros`
@@ -677,8 +596,9 @@ fn merge_field(key: &str, values: &[&Value]) -> Value {
         };
     }
     if first.as_object().is_some() {
-        if values.iter().all(|v| is_histogram_object(v)) {
-            return merge_histograms(values);
+        let decoded: Option<Vec<_>> = values.iter().map(|v| histogram_from_value(v)).collect();
+        if let Some(decoded) = decoded {
+            return merge_histograms(&decoded);
         }
         let mut keys: Vec<&String> = Vec::new();
         for v in values {
@@ -730,7 +650,10 @@ fn merge_trace(values: &[Value]) -> Value {
         }
         for h in v.get("histograms").and_then(Value::as_array).unwrap_or(&Vec::new()) {
             let Some(name) = h.get("name").and_then(Value::as_str) else { continue };
-            histograms.entry(name.to_string()).or_default().merge_snapshot(&snapshot_of(h, ""));
+            let merged = histograms.entry(name.to_string()).or_default();
+            if let Some((snapshot, _)) = histogram_from_value(h) {
+                merged.merge_snapshot(&snapshot);
+            }
         }
         spans += v.get("spans").and_then(Value::as_u64).unwrap_or(0);
         dropped += v.get("dropped_spans").and_then(Value::as_u64).unwrap_or(0);
@@ -752,7 +675,7 @@ fn merge_trace(values: &[Value]) -> Value {
     let histograms: Vec<Value> = histograms
         .into_iter()
         .map(|(name, h)| {
-            let mut v = histogram_value(&h, "");
+            let mut v = histogram_to_value(&h.snapshot(), "");
             if let Some(obj) = v.as_object_mut() {
                 obj.insert("name".into(), json!(name));
             }
@@ -777,10 +700,10 @@ fn merge_trace(values: &[Value]) -> Value {
 fn probe_loop(shared: &Shared) {
     let Some(health) = shared.config.health.clone() else { return };
     let mut consecutive_failures = vec![0u32; shared.shards.len()];
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !shared.admission.is_shutting_down() {
         std::thread::sleep(health.interval);
         for (slot, shard) in shared.shards.iter().enumerate() {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if shared.admission.is_shutting_down() {
                 return;
             }
             let Some(fails) = consecutive_failures.get_mut(slot) else { continue };
@@ -1202,5 +1125,247 @@ mod tests {
         assert_eq!(merged["histograms"][0]["name"], "flag_micros");
         assert_eq!(merged["spans"], 5);
         assert_eq!(merged["dropped_spans"], 2);
+    }
+
+    /// A shard's idle sweep closes a pooled connection the router is
+    /// holding; the next routed op must dial afresh, not fail
+    /// `unavailable` on the dead socket.
+    #[test]
+    fn pooled_connection_closed_by_the_shard_is_redialed() {
+        let shard = Server::bind(ServeConfig {
+            workers: 1,
+            idle_timeout: Duration::from_millis(100),
+            poll_interval: Duration::from_millis(10),
+            ..ServeConfig::default()
+        })
+        .expect("bind shard");
+        let shard_addr = shard.local_addr();
+        let shard_handle = shard.handle();
+        std::thread::spawn(move || shard.run());
+        let (addr, router) = spawn_router(RouterConfig {
+            shards: vec![ShardSpec { addr: shard_addr.to_string(), follower: None }],
+            pool_per_shard: 1,
+            ..RouterConfig::default()
+        });
+
+        let mut client = Client::connect(addr).expect("connect router");
+        let sid = client.create_session(&group_doc(), RULES).expect("create");
+        std::thread::sleep(Duration::from_millis(400));
+        let stats = client.stats(Some(sid)).expect("stats after the shard closed the pooled conn");
+        assert_eq!(stats["entities"], 0);
+
+        router.shutdown();
+        shard_handle.shutdown();
+    }
+
+    /// A shard that accepts connections and never answers. Dropping the
+    /// returned sender closes every accepted connection and the listener.
+    fn spawn_mute_shard() -> (SocketAddr, std::sync::mpsc::Sender<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind mute shard");
+        let addr = listener.local_addr().expect("mute addr");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        std::thread::spawn(move || {
+            let mut held = Vec::new();
+            while let Err(std::sync::mpsc::TryRecvError::Empty) = released.try_recv() {
+                if let Ok((conn, _)) = listener.accept() {
+                    held.push(conn);
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
+        (addr, release)
+    }
+
+    /// Sends one request on a fresh raw connection without waiting.
+    fn send_raw(addr: SocketAddr, req: &Request) -> std::net::TcpStream {
+        let mut stream = std::net::TcpStream::connect(addr).expect("connect raw");
+        stream.write_all(dime_serve::encode_frame(&req.to_value()).as_bytes()).expect("send");
+        stream
+    }
+
+    fn read_reply(stream: std::net::TcpStream) -> Response {
+        use std::io::BufRead;
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+        let mut line = String::new();
+        io::BufReader::new(stream).read_line(&mut line).expect("reply");
+        let v: Value = serde_json::from_str(&line).expect("json reply");
+        Response::from_value(&v).expect("response")
+    }
+
+    /// A shard that accepts and never answers holds only its own lane:
+    /// with every place of that lane taken, an op on the healthy shard is
+    /// still answered at once, and further ops for the mute shard are
+    /// shed `overloaded` instead of taking the healthy shard's workers.
+    #[test]
+    fn mute_shard_holds_only_its_own_lane() {
+        let (healthy, h0) = spawn_server(2);
+        let (mute, release) = spawn_mute_shard();
+        // Router id 1 must land on the healthy shard; put it in that slot.
+        let healthy_slot = Ring::new(2, DEFAULT_VNODES).shard_of(1).expect("slot");
+        let mut shards = vec![
+            ShardSpec { addr: mute.to_string(), follower: None },
+            ShardSpec { addr: mute.to_string(), follower: None },
+        ];
+        shards[healthy_slot].addr = healthy.to_string();
+        let mute_slot = 1 - healthy_slot;
+        let (addr, router) =
+            spawn_router(RouterConfig { shards, pool_per_shard: 1, ..RouterConfig::default() });
+        let mut client = Client::connect(addr).expect("connect router");
+        let sid = client.create_session(&group_doc(), RULES).expect("create on the healthy shard");
+        assert_eq!(sid, 1);
+        lock(&router.shared.sessions).insert(99, (mute_slot, 1));
+
+        // Four ops for the mute shard on four connections: one holds its
+        // only connection, one waits for it, two are shed.
+        let muted: Vec<_> =
+            (0..4).map(|_| send_raw(addr, &Request::Discovery { session: 99 })).collect();
+        let lane = &router.shared.shards[mute_slot].pool;
+        let mut full = false;
+        for _ in 0..500 {
+            let inner = lock(&lane.inner);
+            if inner.outstanding == 1 && inner.waiting >= 1 {
+                full = true;
+                break;
+            }
+            drop(inner);
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(full, "the mute shard's connection and a waiter must be taken");
+
+        let stream = std::net::TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+        let mut bounded = Client::from_stream(stream).expect("client");
+        let stats =
+            bounded.stats(Some(sid)).expect("the healthy shard answers while the mute one hangs");
+        assert_eq!(stats["entities"], 0);
+
+        // Closing the mute shard answers the two held ops `unavailable`.
+        drop(release);
+        let mut codes: Vec<ErrorCode> = muted
+            .into_iter()
+            .map(|s| match read_reply(s) {
+                Response::Err { code, .. } => code,
+                other => panic!("a mute shard's op must fail, got {other:?}"),
+            })
+            .collect();
+        codes.sort_by_key(|c| c.as_str());
+        assert_eq!(
+            codes,
+            [
+                ErrorCode::Overloaded,
+                ErrorCode::Overloaded,
+                ErrorCode::Unavailable,
+                ErrorCode::Unavailable
+            ]
+        );
+
+        router.shutdown();
+        h0.shutdown();
+    }
+
+    /// A shard that stops answering mid-request times out: both the op
+    /// on the connection and the op waiting for that connection are
+    /// answered `unavailable` within the shard timeout, and the lane is
+    /// free again afterwards.
+    #[test]
+    fn silent_shard_times_out_unavailable() {
+        let (mute, _release) = spawn_mute_shard();
+        let mut router = Router::bind(RouterConfig {
+            shards: vec![ShardSpec { addr: mute.to_string(), follower: None }],
+            pool_per_shard: 1,
+            ..RouterConfig::default()
+        })
+        .expect("bind router");
+        Arc::get_mut(&mut router.shared).expect("not yet shared").shard_timeout =
+            Duration::from_millis(200);
+        let addr = router.local_addr();
+        let handle = router.handle();
+        std::thread::spawn(move || router.run());
+
+        let create = Request::CreateSession { group: group_doc(), rules: RULES.into() };
+        for _ in 0..2 {
+            let pending: Vec<_> = (0..2).map(|_| send_raw(addr, &create)).collect();
+            for stream in pending {
+                match read_reply(stream) {
+                    Response::Err { code, .. } => assert_eq!(code, ErrorCode::Unavailable),
+                    other => panic!("a silent shard must time out, got {other:?}"),
+                }
+            }
+        }
+        handle.shutdown();
+    }
+
+    /// Requests pipelined on one router connection are answered in
+    /// request order although two workers run them, and an oversized
+    /// frame is answered `frame_too_large` without dropping the
+    /// connection. The router counts its own admission in the `cluster`
+    /// object of `stats`, apart from the shards' merged counters.
+    #[test]
+    fn pipelined_requests_answer_in_order_and_oversized_frames_keep_the_connection() {
+        use std::io::{BufRead, BufReader};
+
+        let (s0, h0) = spawn_server(2);
+        let (addr, router) = spawn_router(RouterConfig {
+            shards: vec![ShardSpec { addr: s0.to_string(), follower: None }],
+            pool_per_shard: 2,
+            ..RouterConfig::default()
+        });
+        let mut client = Client::connect(addr).expect("connect router");
+        let sid = client.create_session(&group_doc(), RULES).expect("create");
+
+        // What each pipelined request must be answered with, in order.
+        enum Want {
+            SessionStats,
+            Missing(u64),
+            Pong,
+            TooLarge,
+        }
+        let mut frames = String::new();
+        let mut wants = Vec::new();
+        for i in 0..30u64 {
+            if i == 15 {
+                frames.push_str(&"x".repeat(DEFAULT_MAX_FRAME_BYTES + 10));
+                frames.push('\n');
+                wants.push(Want::TooLarge);
+            }
+            let (req, want) = match i % 3 {
+                0 => (Request::Stats { session: Some(sid) }, Want::SessionStats),
+                1 => (Request::Stats { session: Some(1000 + i) }, Want::Missing(1000 + i)),
+                _ => (Request::Ping, Want::Pong),
+            };
+            frames.push_str(&dime_serve::encode_frame(&req.to_value()));
+            wants.push(want);
+        }
+        let mut stream = std::net::TcpStream::connect(addr).expect("connect raw");
+        stream.write_all(frames.as_bytes()).expect("pipeline");
+        let mut lines = BufReader::new(stream).lines();
+        for (i, want) in wants.iter().enumerate() {
+            let line = lines.next().expect("a reply per request").expect("read reply");
+            let v: Value = serde_json::from_str(&line).expect("json reply");
+            let resp = Response::from_value(&v).expect("response");
+            match (want, resp) {
+                (Want::SessionStats, Response::Ok(v)) => assert_eq!(v["entities"], 0, "reply {i}"),
+                (Want::Missing(id), Response::Err { code, message }) => {
+                    assert_eq!(code, ErrorCode::NoSuchSession, "reply {i}");
+                    assert!(message.contains(&format!("session {id} ")), "reply {i}: {message}");
+                }
+                (Want::Pong, Response::Ok(v)) => assert_eq!(v["pong"], true, "reply {i}"),
+                (Want::TooLarge, Response::Err { code, .. }) => {
+                    assert_eq!(code, ErrorCode::FrameTooLarge, "reply {i}")
+                }
+                (_, other) => panic!("reply {i} out of order: {other:?}"),
+            }
+        }
+
+        let stats = client.stats(None).expect("stats");
+        assert_eq!(stats["cluster"]["oversized_frames"], 1);
+        assert_eq!(stats["cluster"]["overloaded"], 0);
+        assert!(stats["cluster"]["connections"].as_u64().expect("connections") >= 2);
+        assert!(stats["cluster"]["requests"].as_u64().expect("requests") >= 32);
+        assert_eq!(stats["oversized_frames"], 0, "the shard saw no oversized frame");
+
+        router.shutdown();
+        h0.shutdown();
     }
 }

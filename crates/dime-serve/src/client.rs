@@ -103,7 +103,13 @@ pub struct Client {
 impl Client {
     /// Connects to a server address.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
+        Self::from_stream(TcpStream::connect(addr)?)
+    }
+
+    /// Wraps an already-connected stream, keeping its socket options (a
+    /// caller that set read/write timeouts gets a client whose requests
+    /// fail with an `Io` error instead of blocking past them).
+    pub fn from_stream(stream: TcpStream) -> io::Result<Self> {
         stream.set_nodelay(true)?;
         let peer = stream.peer_addr().ok();
         let writer = stream.try_clone()?;
@@ -141,6 +147,21 @@ impl Client {
         self.writer = stream.try_clone()?;
         self.reader = FrameReader::new(BufReader::new(stream), DEFAULT_MAX_FRAME_BYTES);
         Ok(())
+    }
+
+    /// Whether this idle connection can no longer carry a request: the
+    /// server closed it (EOF or an error pending on the socket) or sent
+    /// bytes no request asked for. Sends nothing — a non-blocking peek —
+    /// so a pool can check a connection before handing it out, without
+    /// risking a request the server may already have received.
+    pub fn is_stale(&self) -> bool {
+        if self.writer.set_nonblocking(true).is_err() {
+            return true;
+        }
+        let peeked = self.writer.peek(&mut [0u8; 1]);
+        let restored = self.writer.set_nonblocking(false).is_ok();
+        let idle = matches!(&peeked, Err(e) if e.kind() == io::ErrorKind::WouldBlock);
+        !(restored && idle)
     }
 
     /// Sends one request and reads its response, retrying per

@@ -9,14 +9,17 @@
 //! * [`protocol`](crate::protocol) — the framed request/response
 //!   vocabulary ([`Request`], [`Response`], [`ErrorCode`]) and the
 //!   size-capped [`FrameReader`], shared by server and client;
-//! * [`Server`] — a non-blocking admission/framing layer (`poll.rs`, a
-//!   zero-dependency epoll readiness loop) feeding a fixed verify pool
-//!   through a bounded queue, over a sharded
-//!   [`SessionStore`](session::SessionStore), with per-request panic
-//!   isolation, admission limits, backpressure (the retryable
-//!   `overloaded` error), idle timeouts, and graceful drain-on-shutdown;
-//!   every request, `add_entities` included, is one op through one
-//!   handler;
+//! * [`Admission`] — the one serving path: a non-blocking
+//!   admission/framing layer (`poll.rs`, a zero-dependency epoll
+//!   readiness loop) feeding a fixed worker pool through a bounded
+//!   queue, with per-request panic isolation, admission limits,
+//!   backpressure (the retryable `overloaded` error), idle timeouts,
+//!   in-order pipelined replies, and graceful drain-on-shutdown. It is
+//!   parameterised by the request handler, so `dime-cluster`'s router
+//!   runs on it too;
+//! * [`Server`] — [`Admission::serve`] with the session handler over a
+//!   sharded [`SessionStore`](session::SessionStore); every request,
+//!   `add_entities` included, is one op through one handler;
 //! * [`Client`] — a small blocking client library;
 //! * [`metrics`](crate::metrics) — per-session and global counters
 //!   surfaced by the `stats` operation;
@@ -63,13 +66,15 @@ pub mod client;
 pub mod metrics;
 pub mod persist;
 mod poll;
+mod pool;
 pub mod protocol;
 mod server;
 pub mod session;
 
 pub use client::{Client, ClientError};
+pub use pool::Admission;
 pub use protocol::{
     encode_frame, polarity_str, ErrorCode, Frame, FrameReader, ProtocolError, Request, Response,
     RuleAction, DEFAULT_MAX_FRAME_BYTES,
 };
-pub use server::{decode_line, ServeConfig, Server, ServerHandle, WalTapHandle};
+pub use server::{ServeConfig, Server, ServerHandle, WalTapHandle};

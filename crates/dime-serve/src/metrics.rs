@@ -13,7 +13,7 @@
 //! of its counters — verified pairs, added entities, latency samples, all
 //! of them move from the live sum into the bank atomically with the close.
 
-use dime_trace::{Histogram, HistogramSnapshot, TraceReport};
+use dime_trace::{Histogram, HistogramSnapshot, TraceReport, BUCKETS};
 use serde_json::{json, Map, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -45,31 +45,74 @@ impl LatencyStat {
     }
 
     /// Snapshot as `{count, total_micros, max_micros, mean_micros,
-    /// p50_micros, p95_micros, p99_micros, buckets}` — `buckets` carries
-    /// the raw sparse histogram cells so a cluster router can re-merge
-    /// aggregates from many shards without losing quantile fidelity.
+    /// p50_micros, p95_micros, p99_micros, buckets}` — see
+    /// [`histogram_to_value`].
     pub fn to_value(&self) -> Value {
-        let s = self.hist.snapshot();
-        json!({
-            "count": s.count,
-            "total_micros": s.total,
-            "max_micros": s.max,
-            "mean_micros": s.mean(),
-            "p50_micros": s.p50,
-            "p95_micros": s.p95,
-            "p99_micros": s.p99,
-            "buckets": sparse_buckets(&s),
-        })
+        histogram_to_value(&self.hist.snapshot(), MICROS)
     }
 }
 
-/// The raw histogram cells as sparse `[index, count]` pairs — compact on
-/// the wire (latency histograms populate a handful of the 64 buckets) and
-/// loss-free, so cross-shard merges are exactly [`Histogram::merge`].
-fn sparse_buckets(s: &HistogramSnapshot) -> Value {
-    let pairs: Vec<Value> =
+/// Key suffix of a latency histogram's unit-bearing fields
+/// (`total_micros`, `p99_micros`, ...). Trace histograms use `""`.
+pub const MICROS: &str = "_micros";
+
+/// The histogram wire codec, encode half: `{count, total, max, mean, p50,
+/// p95, p99, buckets}`, every key but `count` and `buckets` carrying
+/// `suffix`. `buckets` holds the raw cells as sparse `[index, count]`
+/// pairs — compact (latency histograms populate a handful of the 64
+/// buckets) and loss-free, so a cluster router re-merges aggregates from
+/// many shards with exactly [`Histogram::merge`]'s fidelity.
+pub fn histogram_to_value(s: &HistogramSnapshot, suffix: &str) -> Value {
+    let buckets: Vec<Value> =
         s.buckets.iter().enumerate().filter(|(_, &n)| n > 0).map(|(i, &n)| json!([i, n])).collect();
-    Value::Array(pairs)
+    let mut v = json!({"count": s.count, "buckets": buckets});
+    if let Some(obj) = v.as_object_mut() {
+        for (name, n) in [
+            ("total", s.total),
+            ("max", s.max),
+            ("mean", s.mean()),
+            ("p50", s.p50),
+            ("p95", s.p95),
+            ("p99", s.p99),
+        ] {
+            obj.insert(format!("{name}{suffix}"), json!(n));
+        }
+    }
+    v
+}
+
+/// The histogram wire codec, decode half: rebuilds the snapshot of a
+/// [`histogram_to_value`] object, with the key suffix it was written
+/// under ([`MICROS`] when `total_micros` is present, else `""`). `None`
+/// when `v` is not a histogram object (no `count` or no `buckets`
+/// array). Quantiles come back as 0: they are derived figures, and a
+/// merge recomputes them from the buckets.
+pub fn histogram_from_value(v: &Value) -> Option<(HistogramSnapshot, &'static str)> {
+    let cells = v.get("buckets")?.as_array()?;
+    let count = v.get("count")?.as_u64().unwrap_or(0);
+    let suffix = if v.get("total_micros").is_some() { MICROS } else { "" };
+    let field = |name: &str| v.get(&format!("{name}{suffix}")).and_then(Value::as_u64).unwrap_or(0);
+    let mut buckets = [0u64; BUCKETS];
+    for pair in cells.iter().filter_map(Value::as_array) {
+        let (Some(i), Some(n)) =
+            (pair.first().and_then(Value::as_u64), pair.get(1).and_then(Value::as_u64))
+        else {
+            continue;
+        };
+        if let Some(cell) = usize::try_from(i).ok().and_then(|i| buckets.get_mut(i)) {
+            *cell = n;
+        }
+    }
+    let snapshot = HistogramSnapshot {
+        count,
+        total: field("total"),
+        max: field("max"),
+        p50: 0,
+        p95: 0,
+        p99: 0,
+        buckets,
+    };
+    Some((snapshot, suffix))
 }
 
 /// The session-scoped counters in aggregate, atomic form. One instance
@@ -107,9 +150,10 @@ impl SessionTotals {
     }
 }
 
-/// Server-wide counters, updated lock-free by every worker.
+/// Admission-layer counters of one serving front end — a server or a
+/// cluster router — bumped by its poll loop and worker pool.
 #[derive(Debug, Default)]
-pub struct GlobalMetrics {
+pub struct AdmissionMetrics {
     /// Connections accepted.
     pub connections: AtomicU64,
     /// Requests handled (including ones answered with an error).
@@ -119,8 +163,31 @@ pub struct GlobalMetrics {
     /// Frames dropped for exceeding the size cap.
     pub oversized_frames: AtomicU64,
     /// Requests rejected at admission with the retryable `overloaded`
-    /// error because the verify queue was full.
+    /// error because the op queue was full.
     pub overloaded: AtomicU64,
+}
+
+impl AdmissionMetrics {
+    /// Writes every counter into `obj` under its field name: a server's
+    /// global `stats` carries them at the top level, a router's in its
+    /// `cluster` object.
+    pub fn write_into(&self, obj: &mut Map<String, Value>) {
+        for (key, counter) in [
+            ("connections", &self.connections),
+            ("requests", &self.requests),
+            ("errors", &self.errors),
+            ("oversized_frames", &self.oversized_frames),
+            ("overloaded", &self.overloaded),
+        ] {
+            // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
+            obj.insert(key.into(), json!(counter.load(Ordering::Relaxed)));
+        }
+    }
+}
+
+/// Server-wide session counters, updated lock-free by every worker.
+#[derive(Debug, Default)]
+pub struct GlobalMetrics {
     /// Sessions created over the server's lifetime.
     pub sessions_created: AtomicU64,
     /// Sessions closed over the server's lifetime.
@@ -149,11 +216,6 @@ impl GlobalMetrics {
         let flag_latency = self.closed.flag_latency.clone();
         flag_latency.merge(&live.flag_latency);
         json!({
-            "connections": self.connections.load(Ordering::Relaxed), // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
-            "requests": self.requests.load(Ordering::Relaxed), // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
-            "errors": self.errors.load(Ordering::Relaxed), // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
-            "oversized_frames": self.oversized_frames.load(Ordering::Relaxed), // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
-            "overloaded": self.overloaded.load(Ordering::Relaxed), // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
             "sessions": {
                 "created": self.sessions_created.load(Ordering::Relaxed), // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
                 "closed": self.sessions_closed.load(Ordering::Relaxed), // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
@@ -207,22 +269,6 @@ impl SessionMetrics {
     }
 }
 
-/// Serializes a histogram snapshot with unit-agnostic keys — used for the
-/// engine-trace histograms, whose unit is whatever the instrumentation
-/// recorded (the serve layer records microseconds).
-fn histogram_snapshot_value(s: &HistogramSnapshot) -> Value {
-    json!({
-        "count": s.count,
-        "total": s.total,
-        "max": s.max,
-        "mean": s.mean(),
-        "p50": s.p50,
-        "p95": s.p95,
-        "p99": s.p99,
-        "buckets": sparse_buckets(s),
-    })
-}
-
 /// Serializes a [`TraceReport`] for the `trace` protocol op and the CLI's
 /// `--trace --json` output: per-phase aggregates, named counters (as one
 /// object), per-rule hit counts, histogram snapshots, and the raw-span
@@ -248,7 +294,7 @@ pub fn trace_report_to_value(report: &TraceReport) -> Value {
         .histograms
         .iter()
         .map(|(name, s)| {
-            let mut v = histogram_snapshot_value(s);
+            let mut v = histogram_to_value(s, "");
             if let Some(obj) = v.as_object_mut() {
                 obj.insert("name".into(), json!(name));
             }
@@ -300,6 +346,35 @@ mod tests {
     }
 
     #[test]
+    fn histogram_codec_round_trips_both_key_forms() {
+        let h = Histogram::new();
+        for v in [3, 10, 30, 900] {
+            h.record(v);
+        }
+        let s = h.snapshot();
+        for suffix in [MICROS, ""] {
+            let v = histogram_to_value(&s, suffix);
+            assert_eq!(v[format!("p99{suffix}").as_str()], s.p99);
+            let (back, found) = histogram_from_value(&v).expect("a histogram object");
+            assert_eq!(found, suffix);
+            assert_eq!((back.count, back.total, back.max), (s.count, s.total, s.max));
+            assert_eq!(back.buckets, s.buckets);
+        }
+        assert!(histogram_from_value(&json!({"count": 1})).is_none(), "no buckets array");
+    }
+
+    #[test]
+    fn admission_metrics_write_every_counter() {
+        let a = AdmissionMetrics::default();
+        GlobalMetrics::bump(&a.overloaded);
+        let mut obj = Map::new();
+        a.write_into(&mut obj);
+        assert_eq!(obj.len(), 5);
+        assert_eq!(obj["overloaded"], 1);
+        assert_eq!(obj["connections"], 0);
+    }
+
+    #[test]
     fn session_metrics_snapshot() {
         let mut m = SessionMetrics { requests: 3, ..Default::default() };
         m.record_flag_latency(Duration::from_micros(8));
@@ -313,12 +388,12 @@ mod tests {
     #[test]
     fn global_metrics_snapshot_includes_gauges() {
         let g = GlobalMetrics::default();
-        GlobalMetrics::bump(&g.requests);
+        GlobalMetrics::bump(&g.sessions_created);
         let live = SessionTotals::default();
         let m = SessionMetrics { entities_added: 4, ..Default::default() };
         live.absorb(&m, 9);
         let v = g.to_value(2, &live);
-        assert_eq!(v["requests"], 1);
+        assert_eq!(v["sessions"]["created"], 1);
         assert_eq!(v["entities_added"], 4);
         assert_eq!(v["sessions"]["live"], 2);
         assert_eq!(v["pairs_verified"], 9);

@@ -7,14 +7,19 @@
 //! * **this module** owns the listener and all connections, does
 //!   non-blocking framed reads and writes with per-connection buffers,
 //!   decodes frames into [`Request`]s, and *never touches the engine*;
-//! * decoded ops flow through a **bounded** queue into the verify pool
-//!   (`server.rs`); a full queue is answered inline with the retryable
-//!   `overloaded` error — backpressure instead of unbounded buffering;
+//! * decoded ops flow through a **bounded** queue into the worker pool
+//!   (`pool.rs`, which runs the front end's request handler); a full
+//!   queue is answered inline with the retryable `overloaded` error —
+//!   backpressure instead of unbounded buffering;
 //! * completions flow back over an unbounded channel paired with a
 //!   [`Waker`]; per-connection response *order* is preserved by a
 //!   sequence-number reorder buffer, so pipelined requests still get
 //!   pipelined responses even though the pool completes them out of
 //!   order.
+//!
+//! The loop knows nothing of sessions or shards: its limits, shutdown
+//! flag and counters come from an [`Admission`], so a server and a
+//! cluster router run the same code.
 //!
 //! The `dime-check` rule `blocking-reaches-poll-loop` treats every
 //! function in this file as an entry point and walks the workspace call
@@ -25,14 +30,15 @@
 //! the single audited unsafe boundary of the crate.
 
 use crate::metrics::GlobalMetrics;
+use crate::pool::{Admission, Completion, OpJob};
 use crate::protocol::{encode_frame, ErrorCode, Frame, FrameReader, Response};
-use crate::server::{decode_line, Completion, OpJob, Shared};
+use crate::server::decode_line;
 use dime_trace::{span, TraceSink};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -359,21 +365,20 @@ impl Conn {
 
 /// Runs the admission loop until shutdown completes its drain: every
 /// connection either answered-and-closed or timed out of its grace
-/// window. Dropping `ops` on return is what releases the verify pool.
+/// window. Dropping `ops` on return is what releases the worker pool.
 pub(crate) fn admission_loop(
     mut poller: Poller,
     waker: &Waker,
     listener: TcpListener,
-    shared: &Shared,
+    admission: &Admission,
+    sink: &dyn TraceSink,
     ops: mpsc::SyncSender<OpJob>,
     done: &mpsc::Receiver<Completion>,
-    queue_depth: &AtomicU64,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     poller.add(listener.as_raw_fd(), TOKEN_LISTENER, sys::EPOLLIN)?;
 
-    let cfg = &shared.config;
-    let poll_interval = cfg.poll_interval.max(Duration::from_millis(1));
+    let poll_interval = admission.config().poll_interval;
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token = TOKEN_FIRST_CONN;
     let mut events: Vec<Event> = Vec::new();
@@ -387,7 +392,7 @@ pub(crate) fn admission_loop(
         let now = Instant::now();
 
         if !events.is_empty() {
-            let _admission = span(shared.recorder.as_ref(), "admission");
+            let _admission = span(sink, "admission");
             for ev in events.iter().copied() {
                 match ev.token {
                     TOKEN_LISTENER => {
@@ -395,7 +400,7 @@ pub(crate) fn admission_loop(
                             accept_all(
                                 &poller,
                                 &listener,
-                                shared,
+                                admission,
                                 &mut conns,
                                 &mut next_token,
                                 now,
@@ -410,7 +415,7 @@ pub(crate) fn admission_loop(
                             continue;
                         }
                         if ev.readable || ev.read_closed {
-                            read_conn(token, conn, shared, &ops, queue_depth, now);
+                            read_conn(token, conn, admission, sink, &ops, now);
                             // Inline responses (decode errors, shed
                             // `overloaded` ops) land in the reorder buffer
                             // with no verify-pool completion to flush them;
@@ -429,7 +434,7 @@ pub(crate) fn admission_loop(
         // reorder buffers, then flush whatever became in-order.
         while let Ok(c) = done.try_recv() {
             if c.shutdown {
-                shared.initiate_shutdown();
+                admission.initiate_shutdown();
             }
             if let Some(conn) = conns.get_mut(&c.conn) {
                 conn.inflight = conn.inflight.saturating_sub(1);
@@ -438,7 +443,7 @@ pub(crate) fn admission_loop(
             }
         }
 
-        if !draining && shared.shutdown.load(Ordering::SeqCst) {
+        if !draining && admission.is_shutting_down() {
             // Stop admitting: no new connections, and the listener's
             // backlog is abandoned. Held connections get their drain
             // grace below.
@@ -451,8 +456,8 @@ pub(crate) fn admission_loop(
             sweep(
                 &poller,
                 &mut conns,
-                cfg.idle_timeout,
-                cfg.write_timeout,
+                admission.config().idle_timeout,
+                admission.config().write_timeout,
                 poll_interval,
                 draining,
                 now,
@@ -474,7 +479,7 @@ pub(crate) fn admission_loop(
 fn accept_all(
     poller: &Poller,
     listener: &TcpListener,
-    shared: &Shared,
+    admission: &Admission,
     conns: &mut HashMap<u64, Conn>,
     next_token: &mut u64,
     now: Instant,
@@ -492,9 +497,11 @@ fn accept_all(
                 if poller.add(stream.as_raw_fd(), token, INTEREST_READ).is_err() {
                     continue;
                 }
-                GlobalMetrics::bump(&shared.metrics.connections);
-                conns
-                    .insert(token, Conn::new(Arc::new(stream), shared.config.max_frame_bytes, now));
+                GlobalMetrics::bump(&admission.metrics.connections);
+                conns.insert(
+                    token,
+                    Conn::new(Arc::new(stream), admission.config().max_frame_bytes, now),
+                );
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -505,14 +512,14 @@ fn accept_all(
 
 /// Reads every decodable frame off one connection: blank lines are
 /// skipped, malformed or oversized frames are answered inline, decoded
-/// ops are handed to the verify pool — or answered inline with the
+/// ops are handed to the worker pool — or answered inline with the
 /// retryable `overloaded` error when the bounded queue is full.
 fn read_conn(
     token: u64,
     conn: &mut Conn,
-    shared: &Shared,
+    admission: &Admission,
+    sink: &dyn TraceSink,
     ops: &mpsc::SyncSender<OpJob>,
-    queue_depth: &AtomicU64,
     now: Instant,
 ) {
     loop {
@@ -523,12 +530,12 @@ fn read_conn(
             }
             Ok(Frame::Oversized) => {
                 conn.last_progress = now;
-                GlobalMetrics::bump(&shared.metrics.oversized_frames);
-                GlobalMetrics::bump(&shared.metrics.requests);
-                GlobalMetrics::bump(&shared.metrics.errors);
+                GlobalMetrics::bump(&admission.metrics.oversized_frames);
+                GlobalMetrics::bump(&admission.metrics.requests);
+                GlobalMetrics::bump(&admission.metrics.errors);
                 let resp = Response::err(
                     ErrorCode::FrameTooLarge,
-                    format!("frame exceeds {} bytes", shared.config.max_frame_bytes),
+                    format!("frame exceeds {} bytes", admission.config().max_frame_bytes),
                 );
                 let seq = conn.next_seq;
                 conn.next_seq += 1;
@@ -548,20 +555,20 @@ fn read_conn(
                         // so incrementing afterwards could race the counter
                         // below zero.
                         // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
-                        let depth = queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+                        let depth = admission.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
                         match ops.try_send(OpJob { conn: token, seq, req }) {
                             Ok(()) => {
                                 conn.inflight += 1;
-                                if shared.recorder.enabled() {
-                                    shared.recorder.latency("verify_queue_depth", depth);
+                                if sink.enabled() {
+                                    sink.latency("verify_queue_depth", depth);
                                 }
                             }
                             Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
                                 // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
-                                queue_depth.fetch_sub(1, Ordering::Relaxed);
-                                GlobalMetrics::bump(&shared.metrics.requests);
-                                GlobalMetrics::bump(&shared.metrics.errors);
-                                GlobalMetrics::bump(&shared.metrics.overloaded);
+                                admission.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                                GlobalMetrics::bump(&admission.metrics.requests);
+                                GlobalMetrics::bump(&admission.metrics.errors);
+                                GlobalMetrics::bump(&admission.metrics.overloaded);
                                 let resp = Response::err(
                                     ErrorCode::Overloaded,
                                     "verify queue is full; retry after backoff",
@@ -572,8 +579,8 @@ fn read_conn(
                         }
                     }
                     Err(resp) => {
-                        GlobalMetrics::bump(&shared.metrics.requests);
-                        GlobalMetrics::bump(&shared.metrics.errors);
+                        GlobalMetrics::bump(&admission.metrics.requests);
+                        GlobalMetrics::bump(&admission.metrics.errors);
                         conn.pending.insert(seq, encode_frame(&resp.to_value()).into_bytes());
                     }
                 }

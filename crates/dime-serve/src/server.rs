@@ -1,15 +1,12 @@
-//! The discovery server, in two halves (DESIGN.md §10):
-//!
-//! * an **admission/framing layer** — the non-blocking epoll loop in
-//!   `poll.rs`, the only code that touches a client socket;
-//! * a **CPU-bound verify pool** of scoped worker threads (the
-//!   `std::thread::scope` idiom of `dime-core/src/par.rs`) that runs
-//!   [`handle_request`] against the sharded [`SessionStore`]. The pool
-//!   pulls decoded ops off a *bounded* queue one at a time — a full queue
-//!   is backpressure, answered with the retryable `overloaded` error. An
-//!   `add_entities` op takes the session lock once, feeds its rows to
-//!   `IncrementalDime::add_entity` in order, and logs them as one WAL
-//!   batch.
+//! The discovery server: a [`SessionStore`] of live incremental engines
+//! behind [`handle_request`]. It serves on the one path every front end
+//! of the protocol shares (`pool.rs`, DESIGN.md §10): the epoll admission
+//! loop of `poll.rs`, the only code that touches a client socket, in
+//! front of a worker pool that pulls decoded ops off a *bounded* queue
+//! one at a time — a full queue is backpressure, answered with the
+//! retryable `overloaded` error. An `add_entities` op takes the session
+//! lock once, feeds its rows to `IncrementalDime::add_entity` in order,
+//! and logs them as one WAL batch.
 //!
 //! Each connection's frames are read through the size-capped
 //! [`FrameReader`](crate::FrameReader), dispatched, and answered in
@@ -18,8 +15,8 @@
 //! error).
 //!
 //! Shutdown is graceful by construction: the `shutdown` request (or
-//! [`ServerHandle::shutdown`]) sets a flag and wakes the poll loop with a
-//! self-connection. New connections stop being admitted; every held
+//! [`ServerHandle::shutdown`]) sets a flag the poll loop checks every
+//! poll interval. New connections stop being admitted; every held
 //! connection keeps being served until the peer closes or two consecutive
 //! poll intervals pass with no new frame — fully received requests are
 //! in-flight work and always get their response. `run` returns once every
@@ -27,8 +24,9 @@
 
 use crate::metrics::GlobalMetrics;
 use crate::persist::{persist_new_session, rebuild_session, store_stats_to_value, SessionPersist};
+use crate::pool::Admission;
 use crate::protocol::{
-    encode_frame, polarity_str, ErrorCode, Request, Response, RuleAction, DEFAULT_MAX_FRAME_BYTES,
+    polarity_str, ErrorCode, Request, Response, RuleAction, DEFAULT_MAX_FRAME_BYTES,
 };
 use crate::session::{lock, Session, SessionStore};
 use dime_core::{parse_rules, IncrementalDime, Polarity, Rule, Schema};
@@ -40,10 +38,8 @@ use dime_store::{Store, StoreConfig};
 use dime_trace::{span, Recorder, TraceSink};
 use serde_json::{json, Value};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of a [`Server`].
@@ -125,30 +121,19 @@ impl Default for ServeConfig {
     }
 }
 
-/// Resolves the worker knob: `0` means available cores, floored at 4.
-fn resolve_workers(workers: usize) -> usize {
-    if workers == 0 {
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1).max(4)
-    } else {
-        workers
-    }
-}
-
-/// State shared by the admission layer, the verify pool, and
-/// [`ServerHandle`]s.
-pub(crate) struct Shared {
+/// State shared by the worker pool and [`ServerHandle`]s.
+struct Shared {
+    /// The server's config, shutdown flag and admission counters.
+    admission: Admission,
     store: SessionStore,
-    pub(crate) metrics: GlobalMetrics,
-    /// Trace sink shared by every session's engine; the `trace` op
-    /// snapshots it. Engine counters and phase spans from all sessions
-    /// aggregate here.
-    pub(crate) recorder: Arc<Recorder>,
+    metrics: GlobalMetrics,
+    /// Trace sink shared by every session's engine and the admission
+    /// loop; the `trace` op snapshots it. Engine counters and phase spans
+    /// from all sessions aggregate here.
+    recorder: Arc<Recorder>,
     /// The durable store, when the server persists sessions. Named apart
     /// from `store` (the live session map) on purpose.
     persistence: Option<Arc<Store>>,
-    pub(crate) shutdown: AtomicBool,
-    pub(crate) config: ServeConfig,
-    addr: SocketAddr,
     started: Instant,
 }
 
@@ -163,25 +148,13 @@ impl Shared {
         };
         Ok(Self {
             store: SessionStore::new(config.max_sessions),
+            admission: Admission::new(config, addr),
             metrics: GlobalMetrics::default(),
             recorder: Arc::new(Recorder::new()),
             persistence,
-            shutdown: AtomicBool::new(false),
-            config,
-            addr,
             // dime-check: allow(wall-clock-in-core) — uptime epoch for the stats endpoint; never feeds discovery results
             started: Instant::now(),
         })
-    }
-
-    /// Sets the shutdown flag and wakes the accept/poll loop with a
-    /// self-connection (dropped immediately; the loop re-checks the flag
-    /// before admitting a connection).
-    pub(crate) fn initiate_shutdown(&self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
     }
 }
 
@@ -194,17 +167,17 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// The bound address (with the real port when `0` was requested).
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.shared.admission.addr()
     }
 
     /// Initiates graceful shutdown, equivalent to a `shutdown` request.
     pub fn shutdown(&self) {
-        self.shared.initiate_shutdown();
+        self.shared.admission.initiate_shutdown();
     }
 
     /// Whether shutdown has been initiated.
     pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
+        self.shared.admission.is_shutting_down()
     }
 }
 
@@ -227,7 +200,7 @@ impl Server {
 
     /// The bound address (with the real port when `0` was requested).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.shared.admission.addr()
     }
 
     /// A handle for stopping the server from another thread.
@@ -237,44 +210,13 @@ impl Server {
 
     /// Serves until shutdown is initiated, then drains: held connections
     /// finish their buffered requests and every queued op gets its
-    /// response before the pool exits.
-    ///
-    /// The scope's owning thread runs the admission poll loop
-    /// (`poll.rs`), the spawned threads form the verify pool. Ops flow
-    /// admission → pool over the *bounded* `ops` queue; completions flow
-    /// back over the unbounded `done` channel paired with the poll
-    /// loop's waker. The admission loop returning is what drops the op
-    /// sender, which is what drains and releases the pool.
+    /// response before the pool exits. The calling thread runs the
+    /// admission poll loop; the worker pool runs `handle_request`.
     pub fn run(self) -> io::Result<()> {
-        let workers = resolve_workers(self.shared.config.workers);
-        let poller = crate::poll::Poller::new()?;
-        let waker = poller.waker(crate::poll::TOKEN_WAKER)?;
-        let (ops_tx, ops_rx) =
-            mpsc::sync_channel::<OpJob>(self.shared.config.queue_capacity.max(1));
-        let (done_tx, done_rx) = mpsc::channel::<Completion>();
-        let ops_rx = Arc::new(Mutex::new(ops_rx));
-        let queue_depth = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let ops_rx = Arc::clone(&ops_rx);
-                let done_tx = done_tx.clone();
-                let waker = waker.clone();
-                let shared = Arc::clone(&self.shared);
-                let queue_depth = Arc::clone(&queue_depth);
-                scope
-                    .spawn(move || verify_worker(&ops_rx, &done_tx, &waker, &shared, &queue_depth));
-            }
-            drop(done_tx);
-            crate::poll::admission_loop(
-                poller,
-                &waker,
-                self.listener,
-                &self.shared,
-                ops_tx,
-                &done_rx,
-                &queue_depth,
-            )
-        })
+        let shared = &*self.shared;
+        shared
+            .admission
+            .serve(self.listener, shared.recorder.as_ref(), |req| handle_request(req, shared))
     }
 }
 
@@ -298,7 +240,7 @@ fn recover_persisted(shared: &Shared) -> io::Result<()> {
             }
         };
         // A recovered session resumes replicating where it left off.
-        if let Some(handle) = &shared.config.replication {
+        if let Some(handle) = &shared.admission.config().replication {
             rec.wal.set_tap(id, handle.tap());
         }
         session.persist = Some(SessionPersist::resume(rec, snapshot_every, sink));
@@ -309,78 +251,13 @@ fn recover_persisted(shared: &Shared) -> io::Result<()> {
 
 /// Parses one frame into a [`Request`]. An undecodable frame is the
 /// inline error response the admission layer answers without ever
-/// involving the verify pool (or, in `dime-cluster`'s router, a shard).
-pub fn decode_line(line: &str) -> Result<Request, Response> {
+/// involving the worker pool.
+pub(crate) fn decode_line(line: &str) -> Result<Request, Response> {
     let value: Value = match serde_json::from_str(line) {
         Ok(v) => v,
         Err(e) => return Err(Response::err(ErrorCode::BadFrame, format!("invalid JSON: {e}"))),
     };
     Request::from_value(&value).map_err(|e| Response::err(e.code, e.message))
-}
-
-/// One decoded request in flight from the admission layer to the verify
-/// pool: which connection asked, and where in that connection's response
-/// order the answer belongs.
-pub(crate) struct OpJob {
-    /// Admission-layer connection token.
-    pub conn: u64,
-    /// Position in the connection's response order.
-    pub seq: u64,
-    /// The decoded request.
-    pub req: Request,
-}
-
-/// One finished response on its way back to the admission layer.
-pub(crate) struct Completion {
-    /// Connection token the response belongs to.
-    pub conn: u64,
-    /// Position in that connection's response order.
-    pub seq: u64,
-    /// The encoded response frame, ready to write.
-    pub frame: Vec<u8>,
-    /// Whether this op asked the server to shut down.
-    pub shutdown: bool,
-}
-
-/// Encodes and ships one finished response, counting it in the global
-/// request/error totals.
-fn complete(
-    done: &mpsc::Sender<Completion>,
-    shared: &Shared,
-    conn: u64,
-    seq: u64,
-    resp: Response,
-    shutdown: bool,
-) {
-    GlobalMetrics::bump(&shared.metrics.requests);
-    if !resp.is_ok() {
-        GlobalMetrics::bump(&shared.metrics.errors);
-    }
-    let frame = encode_frame(&resp.to_value()).into_bytes();
-    let _ = done.send(Completion { conn, seq, frame, shutdown });
-}
-
-/// One verify-pool thread: pulls ops off the bounded queue one at a time
-/// until the admission loop hangs up, and answers each through
-/// [`handle_request`]. Holding the receiver lock across `recv` is
-/// deliberate: exactly one idle worker blocks on the channel.
-fn verify_worker(
-    rx: &Mutex<mpsc::Receiver<OpJob>>,
-    done: &mpsc::Sender<Completion>,
-    waker: &crate::poll::Waker,
-    shared: &Shared,
-    queue_depth: &AtomicU64,
-) {
-    loop {
-        let Ok(OpJob { conn, seq, req }) = lock(rx).recv() else { return };
-        // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
-        queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let is_shutdown = matches!(req, Request::Shutdown);
-        let resp = catch_unwind(AssertUnwindSafe(|| handle_request(&req, shared)))
-            .unwrap_or_else(|_| Response::err(ErrorCode::Internal, "request handler panicked"));
-        complete(done, shared, conn, seq, resp, is_shutdown);
-        waker.wake();
-    }
 }
 
 /// The `add_entities` handler. The entity limit is checked before the
@@ -390,7 +267,7 @@ fn verify_worker(
 /// whole request.
 fn handle_add(session: u64, entities: &[Value], shared: &Shared) -> Response {
     if let Err(resp) =
-        entity_limit("request", entities.len(), shared.config.max_entities_per_request)
+        entity_limit("request", entities.len(), shared.admission.config().max_entities_per_request)
     {
         return resp;
     }
@@ -447,12 +324,12 @@ fn no_such_session(id: u64) -> Response {
 /// Pure request dispatch — everything below the framing layer, shared by
 /// the unit tests (which exercise it without sockets) and the workers.
 fn handle_request(req: &Request, shared: &Shared) -> Response {
-    let cfg = &shared.config;
+    let cfg = shared.admission.config();
     match req {
         Request::Ping => Response::Ok(json!({"pong": true})),
         Request::Shutdown => Response::Ok(json!({"shutting_down": true})),
         Request::CreateSession { group, rules } => {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if shared.admission.is_shutting_down() {
                 return Response::err(
                     ErrorCode::ShuttingDown,
                     "server is draining; no new sessions",
@@ -494,7 +371,7 @@ fn handle_request(req: &Request, shared: &Shared) -> Response {
             // other per-session counter.
             session.metrics.entities_added = entities as u64;
             if let Some(persistence) = &shared.persistence {
-                let tap = shared.config.replication.as_ref().map(WalTapHandle::tap);
+                let tap = shared.admission.config().replication.as_ref().map(WalTapHandle::tap);
                 session.persist = persist_new_session(
                     persistence,
                     id,
@@ -561,6 +438,7 @@ fn handle_request(req: &Request, shared: &Shared) -> Response {
             let mut v =
                 shared.metrics.to_value(shared.store.len() as u64, &shared.store.aggregate());
             if let Some(obj) = v.as_object_mut() {
+                shared.admission.metrics().write_into(obj);
                 obj.insert(
                     "uptime_micros".into(),
                     json!(u64::try_from(shared.started.elapsed().as_micros()).unwrap_or(u64::MAX)),
@@ -927,7 +805,7 @@ mod tests {
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
-        use std::sync::atomic::AtomicU64;
+        use std::sync::atomic::{AtomicU64, Ordering};
         static N: AtomicU64 = AtomicU64::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("dime-serve-{tag}-{}-{n}", std::process::id()))
@@ -1133,7 +1011,7 @@ mod tests {
             &Request::AddEntities { session: id, entities: vec![json!(["t", "ann"])] },
             &s,
         );
-        s.shutdown.store(true, Ordering::SeqCst);
+        s.admission.initiate_shutdown();
         expect_err(
             handle_request(&Request::CreateSession { group: group_doc(), rules: RULES.into() }, &s),
             ErrorCode::ShuttingDown,
@@ -1149,7 +1027,7 @@ mod tests {
             &Request::AddEntities { session: id, entities: vec![json!(["t", "ann"])] },
             &s,
         );
-        GlobalMetrics::bump(&s.metrics.requests);
+        GlobalMetrics::bump(&s.admission.metrics.requests);
         let Response::Ok(v) = handle_request(&Request::Stats { session: None }, &s) else {
             panic!("stats failed")
         };

@@ -16,6 +16,7 @@
 //! dime cluster-shard  --follower --data-dir DIR [--repl-addr H:P] [--serve-addr H:P] [--workers N]
 //! dime cluster-router --shard H:P[,FOLLOWER_H:P] ... [--addr H:P] [--pool N] [--vnodes N]
 //!                     [--probe-interval-ms N] [--fail-threshold N]
+//!                     [--probe-timeout-ms N] [--promote-timeout-ms N]
 //! ```
 //!
 //! `discover` loads a JSON group document (see `dime_data::load_group_json`
@@ -106,7 +107,8 @@ fn print_usage() {
          \x20 dime cluster-shard --data-dir DIR [--addr H:P] [--replicate-to H:P] [serve knobs]\n\
          \x20 dime cluster-shard --follower --data-dir DIR [--repl-addr H:P] [--serve-addr H:P] [--workers N]\n\
          \x20 dime cluster-router --shard H:P[,FOLLOWER_H:P] ... [--addr H:P] [--pool N] [--vnodes N]\n\
-         \x20                     [--probe-interval-ms N] [--fail-threshold N]\n\n\
+         \x20                     [--probe-interval-ms N] [--fail-threshold N]\n\
+         \x20                     [--probe-timeout-ms N] [--promote-timeout-ms N]\n\n\
          Rule file format (one rule per line, '#' comments):\n\
          \x20 positive: overlap(Authors) >= 2\n\
          \x20 positive: overlap(Authors) >= 1 and ontology(Venue) >= 0.75\n\
@@ -480,11 +482,12 @@ fn numeric_flag<T: std::str::FromStr>(args: &[String], key: &str) -> Result<Opti
     }
 }
 
-/// `dime serve`: host live groups behind the `dime-serve` TCP protocol.
-/// Runs until a client sends `{"op": "shutdown"}`, then drains and exits.
-fn cmd_serve(args: &[String]) -> ExitCode {
+/// The [`ServeConfig`] of `dime serve`'s flags, shared with
+/// `dime cluster-shard`: `--addr` (default `default_addr`), the numeric
+/// knobs, and `--data-dir` with its `--fsync` / `--snapshot-every`.
+fn serve_config_from_flags(args: &[String], default_addr: &str) -> Result<ServeConfig, String> {
     let mut config = ServeConfig {
-        addr: flag_value(args, "--addr").unwrap_or("127.0.0.1:7878").to_string(),
+        addr: flag_value(args, "--addr").unwrap_or(default_addr).to_string(),
         ..ServeConfig::default()
     };
     let knobs: [(&str, &mut usize); 5] = [
@@ -495,41 +498,31 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         ("--queue-capacity", &mut config.queue_capacity),
     ];
     for (key, slot) in knobs {
-        match numeric_flag(args, key) {
-            Ok(None) => {}
-            Ok(Some(n)) => *slot = n,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+        if let Some(n) = numeric_flag(args, key)? {
+            *slot = n;
         }
     }
     if let Some(dir) = flag_value(args, "--data-dir") {
         let mut store = StoreConfig::new(dir);
         if let Some(policy) = flag_value(args, "--fsync") {
-            match FsyncPolicy::parse(policy) {
-                Ok(p) => store.fsync = p,
-                Err(e) => {
-                    eprintln!("error: --fsync: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            store.fsync = FsyncPolicy::parse(policy).map_err(|e| format!("--fsync: {e}"))?;
         }
-        match numeric_flag(args, "--snapshot-every") {
-            Ok(None) => {}
-            Ok(Some(n)) => store.snapshot_every = n,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+        if let Some(n) = numeric_flag(args, "--snapshot-every")? {
+            store.snapshot_every = n;
         }
         config.store = Some(store);
     } else if flag_value(args, "--fsync").is_some()
         || flag_value(args, "--snapshot-every").is_some()
     {
-        eprintln!("error: --fsync and --snapshot-every need --data-dir");
-        return ExitCode::FAILURE;
+        return Err("--fsync and --snapshot-every need --data-dir".into());
     }
+    Ok(config)
+}
+
+/// Binds `config`, announces `"{role} listening on <addr>"` on stdout
+/// (scripts parse the address off the end of the line; port 0 picks a
+/// free port), and serves until a `shutdown` request has drained.
+fn bind_and_serve(config: ServeConfig, role: &str) -> ExitCode {
     let server = match Server::bind(config) {
         Ok(s) => s,
         Err(e) => {
@@ -537,17 +530,27 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Announce the resolved address (port 0 picks a free port) on stdout
-    // so scripts can parse it; flush before blocking in the accept loop.
-    println!("dime-serve listening on {}", server.local_addr());
+    println!("{role} listening on {}", server.local_addr());
     let _ = std::io::stdout().flush();
     match server.run() {
         Ok(()) => {
-            eprintln!("dime-serve drained and stopped");
+            eprintln!("{role} drained and stopped");
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("error: server failed: {e}");
+            eprintln!("error: {role} failed: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// `dime serve`: host live groups behind the `dime-serve` TCP protocol.
+/// Runs until a client sends `{"op": "shutdown"}`, then drains and exits.
+fn cmd_serve(args: &[String]) -> ExitCode {
+    match serve_config_from_flags(args, "127.0.0.1:7878") {
+        Ok(config) => bind_and_serve(config, "dime-serve"),
+        Err(e) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
@@ -901,74 +904,22 @@ fn cmd_cluster_shard(args: &[String]) -> ExitCode {
     if has_flag(args, "--follower") {
         return cmd_cluster_follower(args);
     }
-    let Some(dir) = flag_value(args, "--data-dir") else {
+    if flag_value(args, "--data-dir").is_none() {
         eprintln!("error: cluster-shard needs --data-dir (shards are persistent)");
         return ExitCode::FAILURE;
-    };
-    let mut config = ServeConfig {
-        addr: flag_value(args, "--addr").unwrap_or("127.0.0.1:0").to_string(),
-        ..ServeConfig::default()
-    };
-    let knobs: [(&str, &mut usize); 4] = [
-        ("--workers", &mut config.workers),
-        ("--max-frame-bytes", &mut config.max_frame_bytes),
-        ("--max-entities", &mut config.max_entities_per_request),
-        ("--max-sessions", &mut config.max_sessions),
-    ];
-    for (key, slot) in knobs {
-        match numeric_flag(args, key) {
-            Ok(None) => {}
-            Ok(Some(n)) => *slot = n,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
-    let mut store = StoreConfig::new(dir);
-    if let Some(policy) = flag_value(args, "--fsync") {
-        match FsyncPolicy::parse(policy) {
-            Ok(p) => store.fsync = p,
-            Err(e) => {
-                eprintln!("error: --fsync: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    match numeric_flag(args, "--snapshot-every") {
-        Ok(None) => {}
-        Ok(Some(n)) => store.snapshot_every = n,
+    let mut config = match serve_config_from_flags(args, "127.0.0.1:0") {
+        Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
-    }
-    config.store = Some(store);
+    };
     if let Some(follower) = flag_value(args, "--replicate-to") {
         let link = FollowerLink::new(follower.to_string(), Duration::from_secs(5));
         config.replication = Some(WalTapHandle::new(std::sync::Arc::new(link)));
     }
-    let server = match Server::bind(config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: failed to bind: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Scripts parse the address off the end of this line; flush before
-    // blocking in the accept loop.
-    println!("dime-cluster shard listening on {}", server.local_addr());
-    let _ = std::io::stdout().flush();
-    match server.run() {
-        Ok(()) => {
-            eprintln!("dime-cluster shard drained and stopped");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: shard failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    bind_and_serve(config, "dime-cluster shard")
 }
 
 /// The `--follower` form of `cluster-shard`: mirror a primary's WAL

@@ -228,3 +228,51 @@ fn sigkill_one_shard_promotes_its_follower_without_losing_sessions() {
         std::fs::remove_dir_all(d).expect("cleanup");
     }
 }
+
+/// The router serves on `dime-serve`'s admission loop: one poll thread
+/// holds every idle client connection, so 64 held connections leave the
+/// process at its derived worker count (`2 × shards × pool`) plus the
+/// poll thread, the health prober and a small margin — not one thread
+/// each.
+#[test]
+fn router_holds_idle_connections_on_a_fixed_thread_count() {
+    const POOL: usize = 2;
+    const WORKERS: usize = 2 * POOL;
+    const HELD: usize = 64;
+    let (mut shard, s0) = spawn_announced(&["serve", "--addr", "127.0.0.1:0", "--workers", "2"]);
+    let (mut router, addr) = spawn_announced(&[
+        "cluster-router",
+        "--shard",
+        &s0.to_string(),
+        "--pool",
+        &POOL.to_string(),
+    ]);
+    let status = format!("/proc/{}/status", router.id());
+    let threads = || -> Option<u64> {
+        let text = std::fs::read_to_string(&status).ok()?;
+        text.lines().find_map(|l| l.strip_prefix("Threads:")).and_then(|n| n.trim().parse().ok())
+    };
+
+    let mut held = Vec::with_capacity(HELD);
+    for _ in 0..HELD {
+        let mut client = Client::connect(addr).expect("connect router");
+        client.ping().expect("ping through router");
+        held.push(client);
+    }
+    match threads() {
+        Some(n) => assert!(
+            n <= (WORKERS + 4) as u64,
+            "router runs {n} threads holding {HELD} idle connections; \
+             expected at most {WORKERS} workers + 4"
+        ),
+        None => eprintln!("note: {status} unreadable; skipping the thread-count check"),
+    }
+    let stats = held[0].stats(None).expect("stats");
+    assert!(stats["cluster"]["connections"].as_u64().expect("router connections") >= HELD as u64);
+
+    drop(held);
+    Client::connect(s0).expect("connect shard").shutdown().expect("shutdown shard");
+    Client::connect(addr).expect("connect router").shutdown().expect("shutdown router");
+    shard.wait().expect("shard exits");
+    router.wait().expect("router exits");
+}

@@ -181,7 +181,8 @@ impl VerifyArena {
     /// [`Self::eval_rule`].
     ///
     /// The histograms live in the compiled rule, not the arena: only rules
-    /// with edit predicates pay for them, and only while they verify.
+    /// with edit predicates pay for them, and only while they rank and
+    /// verify.
     pub(crate) fn compile<'r>(&self, rule: &'r Rule) -> CompiledRule<'r> {
         let cap = self.char_len.iter().copied().max().unwrap_or(0) as usize;
         let (mut sets, mut edits) = (Vec::new(), Vec::new());
@@ -228,6 +229,15 @@ impl VerifyArena {
         };
         cr.sets.iter().all(|p| self.eval_pred(p, cr.polarity, a, b))
             && self.edit_kernels(cr, settled, a, b)
+    }
+
+    /// Whether the edit predicates' cutoffs and bag-distance bound leave
+    /// `(a, b)` open; `false` only when [`Self::eval_compiled`] would be.
+    /// Always `true` for a rule without edit predicates. The positive
+    /// phase drops the pairs this refutes before it ranks them.
+    #[inline]
+    pub(crate) fn bound_open(&self, cr: &CompiledRule<'_>, a: usize, b: usize) -> bool {
+        cr.edits.is_empty() || self.edit_bounds(cr, a, b).is_some()
     }
 
     /// A compiled rule's edit predicates alone on `(a, b)`: the bag bound,

@@ -20,7 +20,7 @@
 //!   pass over the pivot's token postings per member decides its set
 //!   predicates against every pivot entity.
 
-use crate::arena::{Csr, VerifyArena};
+use crate::arena::{CompiledRule, Csr, VerifyArena};
 use crate::discover::{
     check_polarities, cumulate_steps, pick_pivot, Discovery, ScrollStep, Witness,
 };
@@ -185,11 +185,13 @@ pub fn discover_fast_traced(
 
 /// Filter + verification for one positive rule.
 ///
-/// Candidates come from the ranking core ([`rank_positive_rule`]) and
-/// verification is striped across workers in benefit order (one stripe on
-/// one worker, which runs inline). The result is order-independent: a
-/// pair's verification outcome never depends on union-find state, and a
-/// pair skipped by the transitivity check is already connected, so the
+/// The rule is compiled once: candidates come from the ranking core
+/// ([`rank_positive_rule`]), which drops the pairs the compiled rule's
+/// edit bound refutes, and verification is striped across workers in
+/// benefit order (one stripe on one worker, which runs inline). The result
+/// is order-independent: a pair's verification outcome never depends on
+/// union-find state, a pair skipped by the transitivity check is already
+/// connected, and a pair the bound drops would fail verification, so the
 /// final components are the connected closure of the satisfying candidate
 /// pairs under any interleaving.
 #[allow(clippy::too_many_arguments)] // internal engine body; `ri` and `sink` ride along
@@ -203,7 +205,11 @@ fn verify_positive_rule(
     sink: &dyn TraceSink,
     ri: usize,
 ) {
-    let ranked = rank_positive_rule(arena, ctx, rule, uf, config, workers, sink);
+    let compiled = {
+        let _s = span(sink, "signature_build");
+        arena.compile(rule)
+    };
+    let ranked = rank_positive_rule(arena, ctx, rule, &compiled, uf, config, workers, sink);
 
     // Striped verification: worker `t` takes pairs t, t+workers, … so all
     // workers advance through the benefit ranking together. Unions land in
@@ -211,7 +217,6 @@ fn verify_positive_rule(
     // returns its local tally (and its own worker span, so traces show the
     // interleaving across thread ids).
     let verify = span(sink, "verify");
-    let compiled = arena.compile(rule);
     let stripes = if ranked.len() < crate::par::SEQ_CUTOFF { 1 } else { workers };
     let tallies: Vec<VerifyTally> = par_shards(stripes, |shard| {
         let _w = span(sink, "verify_worker");
@@ -543,11 +548,15 @@ impl PivotOrder {
 /// ranking. Pairs already connected in `uf` are pruned here — the
 /// transitivity short-circuit applied at gathering time, which keeps the
 /// candidate set small when a previous rule has already built large
-/// components.
+/// components — and so are the pairs `compiled`'s edit cutoffs and
+/// bag-distance bound refute ([`VerifyArena::bound_open`]), which would
+/// fail verification.
+#[allow(clippy::too_many_arguments)] // internal engine body; `sink` rides along
 fn rank_positive_rule(
     arena: &VerifyArena,
     ctx: &mut SigContext<'_>,
     rule: &Rule,
+    compiled: &CompiledRule<'_>,
     uf: &ConcurrentUnionFind,
     config: DimePlusConfig,
     workers: usize,
@@ -565,7 +574,8 @@ fn rank_positive_rule(
         (0..n).map(|x| if config.transitivity_skip { uf.find(x) } else { x } as u32).collect();
     let sig_count: Vec<usize> = sigs.iter().map(|s| s.as_ref().map_or(0, Vec::len)).collect();
     let shards = if n < crate::par::SEQ_CUTOFF { 1 } else { workers };
-    let ranking = rank_candidates(&sigs, &roots, shards, |a, b, shared| {
+    let open = |a: u32, b: u32| arena.bound_open(compiled, a as usize, b as usize);
+    let ranking = rank_candidates(&sigs, &roots, shards, open, |a, b, shared| {
         if config.benefit_order {
             benefit_rank(arena, rule, &sig_count, a, b, shared)
         } else {
@@ -575,11 +585,12 @@ fn rank_positive_rule(
     drop(probe);
     if sink.enabled() {
         let total_pairs = (n as u64) * (n as u64 - 1) / 2;
-        let candidates = ranking.len() as u64;
+        let candidates = ranking.len() as u64 + ranking.pruned;
         sink.add("signatures_built", ranking.postings);
         sink.add("wildcard_entities", sigs.iter().filter(|s| s.is_none()).count() as u64);
         sink.add("candidate_pairs", candidates);
         sink.add("pairs_pruned_filter", total_pairs.saturating_sub(candidates));
+        sink.add("pairs_pruned_bound", ranking.pruned);
         sink.add("index_probes", ranking.lists);
     }
     ranking
@@ -607,6 +618,9 @@ fn benefit_rank(
 
 /// One positive rule's candidate pairs in verification order.
 struct Ranking {
+    /// Pairs sharing a signature, not already connected, that the bound
+    /// refuted: counted, never ranked.
+    pruned: u64,
     /// Packed pairs `a << 32 | b` (`a < b`); verification order is the
     /// buckets' concatenation. Usually one bucket per distinct rank in
     /// ascending rank order, each bucket ascending; past [`MAX_RUNS`]
@@ -650,8 +664,9 @@ fn unpack_pair(pair: u64) -> (usize, usize) {
 /// Ranks every candidate pair of one positive rule without materializing
 /// pair occurrences or sorting them. `sigs[e]` is entity `e`'s
 /// deduplicated signatures (`None` for a wildcard, which pairs with
-/// everyone); pairs with equal `roots` are dropped; `rank(a, b, shared)`
-/// orders the pairs (ascending, ties by `(a, b)`), given their
+/// everyone); pairs with equal `roots` are dropped, and so are pairs
+/// `open(a, b)` refutes (counted in [`Ranking::pruned`]); `rank(a, b,
+/// shared)` orders the rest (ascending, ties by `(a, b)`), given their
 /// shared-signature count plus one per wildcard member.
 ///
 /// 1. Flat postings: signature → ascending entity ids.
@@ -659,10 +674,11 @@ fn unpack_pair(pair: u64) -> (usize, usize) {
 ///    its own position, so every later partner gets its exact count from
 ///    a dense counter, once. Sharded by `a`'s residue class, one counter
 ///    array per worker.
-/// 3. Each `a` sorts its touched partners and emits them in ascending
-///    `b` into its rank's run ([`RankBuckets`]). Within a shard, `a`
-///    ascends and then `b`, so every run is already `(a, b)`-sorted; with
-///    more than one shard, a bucket's per-shard sorted runs are merged.
+/// 3. Each `a` drops its connected and refuted partners, sorts the rest
+///    and emits them in ascending `b` into its rank's run
+///    ([`RankBuckets`]). Within a shard, `a` ascends and then `b`, so
+///    every run is already `(a, b)`-sorted; with more than one shard, a
+///    bucket's per-shard sorted runs are merged.
 ///    Ranks usually take few distinct values (one, without benefit
 ///    order), so this replaces a comparison sort of every candidate; past
 ///    [`MAX_RUNS`] distinct ranks a shard keys its pairs and sorts them.
@@ -670,19 +686,25 @@ fn rank_candidates(
     sigs: &[Option<Vec<u64>>],
     roots: &[u32],
     shards: usize,
+    open: impl Fn(u32, u32) -> bool + Sync,
     rank: impl Fn(u32, u32, u32) -> u64 + Sync,
 ) -> Ranking {
     let n = sigs.len();
     let postings = Postings::new(sigs);
     let wildcards: Vec<u32> = (0..n as u32).filter(|&e| sigs[e as usize].is_none()).collect();
-    let per_shard: Vec<RankBuckets> = par_shards(shards, |shard| {
+    let per_shard: Vec<(RankBuckets, u64)> = par_shards(shards, |shard| {
         let mut counts = vec![0u32; n];
         let mut touched: Vec<u32> = Vec::new();
         let mut out = RankBuckets::default();
+        let mut pruned = 0u64;
         for a in (shard as u32..n as u32).step_by(shards) {
             let root = roots[a as usize];
             let Some(own) = &sigs[a as usize] else {
                 for b in (a + 1..n as u32).filter(|&b| roots[b as usize] != root) {
+                    if !open(a, b) {
+                        pruned += 1;
+                        continue;
+                    }
                     let shared = 1 + u32::from(sigs[b as usize].is_none());
                     out.push(rank(a, b, shared), pack_pair(a, b));
                 }
@@ -701,14 +723,16 @@ fn rank_candidates(
                 counts[b as usize] = 1;
                 touched.push(b);
             }
-            // Partners already connected to `a` drop out (their counts
-            // reset) before the rest are ordered.
+            // Partners already connected to `a`, or refuted by the bound,
+            // drop out (their counts reset) before the rest are ordered.
             touched.retain(|&b| {
                 let fresh = roots[b as usize] != root;
-                if !fresh {
+                let keep = fresh && open(a, b);
+                pruned += u64::from(fresh && !keep);
+                if !keep {
                     counts[b as usize] = 0;
                 }
-                fresh
+                keep
             });
             // Runs need each `a`'s partners in ascending `b`; keys are
             // sorted whole on merge.
@@ -719,11 +743,13 @@ fn rank_candidates(
                 out.push(rank(a, b, std::mem::take(&mut counts[b as usize])), pack_pair(a, b));
             }
         }
-        vec![out]
+        vec![(out, pruned)]
     });
     let (lists, count) = (postings.signatures.len() as u64, postings.entities.len() as u64);
     drop(postings);
-    Ranking { buckets: RankBuckets::merge(per_shard), lists, postings: count }
+    let pruned = per_shard.iter().map(|&(_, p)| p).sum();
+    let buckets = RankBuckets::merge(per_shard.into_iter().map(|(out, _)| out).collect());
+    Ranking { buckets, pruned, lists, postings: count }
 }
 
 /// Distinct ranks one shard keeps as runs before it keys its pairs
@@ -1137,7 +1163,8 @@ pub(crate) mod tests {
 
     /// Pins the one-worker engine's traced counters on the golden group:
     /// candidate generation, ranking and verification order may be
-    /// re-implemented, but never change what the engine counts.
+    /// re-implemented, but never change what the engine counts. Only the
+    /// candidates the edit bound leaves open are verified or skipped.
     #[test]
     fn golden_counters_sequential() {
         use dime_trace::Recorder;
@@ -1148,8 +1175,9 @@ pub(crate) mod tests {
         let report = rec.snapshot();
         let golden = [
             ("candidate_pairs", 22067),
-            ("pairs_verified", 21799),
-            ("pairs_skipped_transitivity", 268),
+            ("pairs_verified", 962),
+            ("pairs_skipped_transitivity", 148),
+            ("pairs_pruned_bound", 20957),
             ("uf_merges", 145),
             ("index_probes", 1648),
             ("signatures_built", 2892),
@@ -1171,14 +1199,65 @@ pub(crate) mod tests {
             let cfg = DimePlusConfig::with_threads(threads);
             let _ = discover_fast_traced(&g, &pos, &neg, cfg, &rec);
             let report = rec.snapshot();
-            ["candidate_pairs", "index_probes", "signatures_built", "uf_merges"]
-                .iter()
-                .map(|name| report.counter(name))
-                .collect()
+            [
+                "candidate_pairs",
+                "pairs_pruned_bound",
+                "index_probes",
+                "signatures_built",
+                "uf_merges",
+            ]
+            .iter()
+            .map(|name| report.counter(name))
+            .collect()
         };
         let sequential = counters(1);
         for threads in [2usize, 4] {
             assert_eq!(counters(threads), sequential, "threads = {threads}");
+        }
+    }
+
+    /// The edit bound drops only pairs that fail their rule, and every
+    /// candidate is accounted for once: at one worker it is verified,
+    /// skipped as already connected, or dropped by the bound.
+    #[test]
+    fn bound_drops_only_failing_pairs() {
+        use dime_trace::Recorder;
+        for (g, pos, neg) in [golden_workload(), edit_shaped_workload()] {
+            let arena = VerifyArena::new(&g);
+            let mut ctx = SigContext::new(&g);
+            let roots: Vec<u32> = (0..g.len() as u32).collect();
+            for rule in &pos {
+                let compiled = arena.compile(rule);
+                let sigs = ctx.positive_rule_signatures(rule);
+                let refuted = std::sync::Mutex::new(Vec::new());
+                let open = |a: u32, b: u32| {
+                    let open = arena.bound_open(&compiled, a as usize, b as usize);
+                    if !open {
+                        refuted.lock().expect("no panic while held").push((a as usize, b as usize));
+                    }
+                    open
+                };
+                let ranking = rank_candidates(&sigs, &roots, 1, open, |_, _, _| 0);
+                let refuted = refuted.into_inner().expect("no panic while held");
+                assert_eq!(refuted.len() as u64, ranking.pruned, "{rule}");
+                for (a, b) in refuted {
+                    assert!(!arena.eval_compiled(&compiled, a, b), "{rule} on ({a}, {b})");
+                    assert!(!rule.eval(&g, g.entity(a), g.entity(b)), "{rule} on ({a}, {b})");
+                }
+            }
+            let rec = Recorder::new();
+            let got = discover_fast_traced(&g, &pos, &neg, DimePlusConfig::default(), &rec);
+            assert_eq!(got, discover_naive(&g, &pos, &neg));
+            let report = rec.snapshot();
+            let [candidates, verified, skipped, pruned] = [
+                "candidate_pairs",
+                "pairs_verified",
+                "pairs_skipped_transitivity",
+                "pairs_pruned_bound",
+            ]
+            .map(|name| report.counter(name));
+            assert!(pruned > 0, "the bound never fired");
+            assert_eq!(candidates, verified + skipped + pruned);
         }
     }
 
@@ -1471,17 +1550,20 @@ pub(crate) mod tests {
     /// Brute-force reference for [`rank_candidates`]: every pair not
     /// connected in `roots` that shares a signature or has a wildcard
     /// member, with count = shared signatures + one per wildcard member,
-    /// ordered by `(B desc, a, b)` under `total_cmp` (or by `(a, b)`).
+    /// ordered by `(B desc, a, b)` under `total_cmp` (or by `(a, b)`),
+    /// less the pairs `compiled`'s bound refutes, which are only counted.
     fn reference_ranking(
         arena: &VerifyArena,
         rule: &Rule,
+        compiled: &CompiledRule<'_>,
         sigs: &[Option<Vec<u64>>],
         roots: &[u32],
         benefit_order: bool,
-    ) -> Vec<(u32, u32, u32)> {
+    ) -> (Vec<(u32, u32, u32)>, u64) {
         let n = sigs.len();
         let len = |e: usize| sigs[e].as_ref().map_or(0, Vec::len);
         let mut pairs: Vec<(f64, u32, u32, u32)> = Vec::new();
+        let mut pruned = 0;
         for a in 0..n {
             for b in a + 1..n {
                 let shared = match (&sigs[a], &sigs[b]) {
@@ -1493,6 +1575,10 @@ pub(crate) mod tests {
                 if count == 0 || roots[a] == roots[b] {
                     continue;
                 }
+                if !arena.bound_open(compiled, a, b) {
+                    pruned += 1;
+                    continue;
+                }
                 let avg = (len(a) + len(b)).max(1) as f64 / 2.0;
                 let cost = arena.rule_cost(rule, a, b).max(1e-9);
                 let benefit = if benefit_order { count as f64 / avg / cost } else { 0.0 };
@@ -1500,14 +1586,15 @@ pub(crate) mod tests {
             }
         }
         pairs.sort_by(|x, y| y.0.total_cmp(&x.0).then_with(|| (x.1, x.2).cmp(&(y.1, y.2))));
-        pairs.into_iter().map(|(_, a, b, c)| (a, b, c)).collect()
+        (pairs.into_iter().map(|(_, a, b, c)| (a, b, c)).collect(), pruned)
     }
 
     /// Runs [`rank_candidates`] on `g` (with `links` pre-connected) for
     /// each of `rules`, at 1, 2 and 4 shards under both verification
-    /// orders, and checks the order, each pair's count and the list and
-    /// posting totals against the reference. Returns the most distinct
-    /// benefit ranks any rule's candidates took.
+    /// orders, and checks the order, each pair's count, the pairs the
+    /// bound refuted and the list and posting totals against the
+    /// reference. Returns the most distinct benefit ranks any rule's
+    /// candidates took.
     fn check_rank_candidates(g: &Group, links: &[(usize, usize)], rules: &[Rule]) -> usize {
         let n = g.len();
         let mut uf = UnionFind::new(n);
@@ -1519,12 +1606,14 @@ pub(crate) mod tests {
         let mut ctx = SigContext::new(g);
         let mut most_ranks = 0;
         for rule in rules {
+            let compiled = arena.compile(rule);
             let sigs = ctx.positive_rule_signatures(rule);
             let sig_count: Vec<usize> =
                 sigs.iter().map(|s| s.as_ref().map_or(0, Vec::len)).collect();
             let distinct: HashSet<u64> = sigs.iter().flatten().flatten().copied().collect();
             for benefit_order in [false, true] {
-                let expected = reference_ranking(&arena, rule, &sigs, &roots, benefit_order);
+                let (expected, pruned) =
+                    reference_ranking(&arena, rule, &compiled, &sigs, &roots, benefit_order);
                 let want: Vec<(usize, usize)> =
                     expected.iter().map(|&(a, b, _)| (a as usize, b as usize)).collect();
                 let mut want_counts = expected;
@@ -1536,7 +1625,8 @@ pub(crate) mod tests {
                 most_ranks = most_ranks.max(ranks.len());
                 for shards in [1usize, 2, 4] {
                     let seen = std::sync::Mutex::new(Vec::new());
-                    let ranking = rank_candidates(&sigs, &roots, shards, |a, b, shared| {
+                    let open = |a: u32, b: u32| arena.bound_open(&compiled, a as usize, b as usize);
+                    let ranking = rank_candidates(&sigs, &roots, shards, open, |a, b, shared| {
                         seen.lock().expect("no panic while held").push((a, b, shared));
                         if benefit_order {
                             benefit_rank(&arena, rule, &sig_count, a, b, shared)
@@ -1548,6 +1638,7 @@ pub(crate) mod tests {
                         ranking.buckets.iter().flatten().map(|&p| unpack_pair(p)).collect();
                     assert_eq!(order, want, "order, shards = {shards}");
                     assert_eq!(ranking.len(), want.len());
+                    assert_eq!(ranking.pruned, pruned, "pruned, shards = {shards}");
                     for stripes in 1..=3 {
                         // Striping deals the order out round-robin.
                         let mut dealt: Vec<(usize, usize)> = Vec::new();

@@ -11,6 +11,7 @@ use dime::serve::{Client, ClientError, ErrorCode};
 use serde_json::{json, Value};
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
+use std::ops::{Deref, DerefMut};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -21,14 +22,42 @@ fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("dime-cluster-e2e-{tag}-{}", std::process::id()))
 }
 
+/// A spawned `dime` process, killed and reaped when dropped: a failed
+/// assertion unwinds through it, so no orphan outlives the test holding
+/// its inherited stderr open.
+struct Proc(Child);
+
+impl Drop for Proc {
+    fn drop(&mut self) {
+        // A process the test already reaped makes both calls no-ops.
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+impl Deref for Proc {
+    type Target = Child;
+    fn deref(&self) -> &Child {
+        &self.0
+    }
+}
+
+impl DerefMut for Proc {
+    fn deref_mut(&mut self) -> &mut Child {
+        &mut self.0
+    }
+}
+
 /// Spawns one `dime` subcommand and parses the announced address off the
 /// end of its first stdout line.
-fn spawn_announced(args: &[&str]) -> (Child, SocketAddr) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_dime"))
-        .args(args)
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn dime");
+fn spawn_announced(args: &[&str]) -> (Proc, SocketAddr) {
+    let mut child = Proc(
+        Command::new(env!("CARGO_BIN_EXE_dime"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn dime"),
+    );
     let mut announce = String::new();
     BufReader::new(child.stdout.as_mut().expect("stdout"))
         .read_line(&mut announce)

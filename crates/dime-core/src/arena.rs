@@ -58,10 +58,9 @@ fn slice<T>(buf: &[T], span: Span) -> &[T] {
 /// `signature_build` phase); the live engine ([`crate::IncrementalDime`])
 /// keeps one across its lifetime, [`VerifyArena::push`]ing each added
 /// entity and rebuilding after a removal. Rules are evaluated by entity id
-/// via [`VerifyArena::eval_rule`] / [`VerifyArena::eval_compiled`] /
-/// [`VerifyArena::rule_cost`]. The arena owns plain `Vec`s only, so shared
-/// references are `Sync` and the engine's scoped workers can verify
-/// against one arena concurrently.
+/// via [`VerifyArena::eval_rule`] / [`VerifyArena::eval_compiled`]. The
+/// arena owns plain `Vec`s only, so shared references are `Sync` and the
+/// engine's scoped workers can verify against one arena concurrently.
 #[derive(Debug, PartialEq)]
 pub(crate) struct VerifyArena {
     /// Attributes per entity (`slot = eid · attrs + attr`).
@@ -88,9 +87,6 @@ pub(crate) struct VerifyArena {
     /// ontology and the value resolved to a node (empty span otherwise).
     anc_span: Vec<Span>,
     anc: Vec<NodeId>,
-    /// The `depth(node)` term of the ontology cost model (1 when the node
-    /// or the ontology is missing, matching the scalar `unwrap_or(1)`).
-    node_depth: Vec<u32>,
 }
 
 impl VerifyArena {
@@ -115,7 +111,6 @@ impl VerifyArena {
             block_words: Vec::new(),
             anc_span: Vec::with_capacity(slots),
             anc: Vec::new(),
-            node_depth: Vec::with_capacity(slots),
         };
         for eid in 0..group.len() {
             a.push(group, eid);
@@ -154,19 +149,16 @@ impl VerifyArena {
             self.block_span.push((start as u32, (self.block_keys.len() - start) as u32));
 
             let start = self.anc.len();
-            let mut depth = 1u32;
             if let (Some(ont), Some(node)) = (group.ontology(ai), v.node) {
-                depth = ont.depth(node);
                 let mut cur = Some(node);
                 while let Some(nd) = cur {
                     self.anc.push(nd);
                     cur = ont.parent(nd);
                 }
                 self.anc[start..].reverse();
-                debug_assert_eq!(self.anc.len() - start, depth as usize);
+                debug_assert_eq!(self.anc.len() - start, ont.depth(node) as usize);
             }
             self.anc_span.push((start as u32, (self.anc.len() - start) as u32));
-            self.node_depth.push(depth);
         }
     }
 
@@ -181,7 +173,7 @@ impl VerifyArena {
     /// [`Self::eval_rule`].
     ///
     /// The histograms live in the compiled rule, not the arena: only rules
-    /// with edit predicates pay for them, and only while they rank and
+    /// with edit predicates pay for them, and only while they gather and
     /// verify.
     pub(crate) fn compile<'r>(&self, rule: &'r Rule) -> CompiledRule<'r> {
         let cap = self.char_len.iter().copied().max().unwrap_or(0) as usize;
@@ -234,7 +226,7 @@ impl VerifyArena {
     /// Whether the edit predicates' cutoffs and bag-distance bound leave
     /// `(a, b)` open; `false` only when [`Self::eval_compiled`] would be.
     /// Always `true` for a rule without edit predicates. The positive
-    /// phase drops the pairs this refutes before it ranks them.
+    /// phase drops the pairs this refutes while it gathers them.
     #[inline]
     pub(crate) fn bound_open(&self, cr: &CompiledRule<'_>, a: usize, b: usize) -> bool {
         cr.edits.is_empty() || self.edit_bounds(cr, a, b).is_some()
@@ -319,33 +311,6 @@ impl VerifyArena {
     /// tests pit the two against each other.
     pub(crate) fn eval_rule(&self, rule: &Rule, a: usize, b: usize) -> bool {
         rule.predicates.iter().all(|p| self.eval_pred(p, rule.polarity, a, b))
-    }
-
-    /// The rule's verification cost estimate; identical f64 to
-    /// `rule.cost(group, group.entity(a), group.entity(b))`.
-    pub(crate) fn rule_cost(&self, rule: &Rule, a: usize, b: usize) -> f64 {
-        rule.predicates
-            .iter()
-            .map(|p| {
-                let sa = a * self.attrs + p.attr;
-                let sb = b * self.attrs + p.attr;
-                match p.func {
-                    SimilarityFn::Overlap
-                    | SimilarityFn::Jaccard
-                    | SimilarityFn::Dice
-                    | SimilarityFn::Cosine => {
-                        (self.token_span[sa].1 as usize + self.token_span[sb].1 as usize) as f64
-                    }
-                    SimilarityFn::EditSimilarity | SimilarityFn::EditDistance => {
-                        let min = self.char_len[sa].min(self.char_len[sb]) as f64;
-                        (p.threshold.max(1.0)) * min
-                    }
-                    SimilarityFn::Ontology => {
-                        f64::from(self.node_depth[sa]) + f64::from(self.node_depth[sb])
-                    }
-                }
-            })
-            .sum()
     }
 
     fn eval_pred(&self, p: &Predicate, polarity: Polarity, a: usize, b: usize) -> bool {
@@ -797,11 +762,6 @@ mod tests {
                         rule.eval(&g, ea, eb),
                         "compiled eval diverged: {rule} on ({a}, {b})"
                     );
-                    let (ca, cs) = (arena.rule_cost(rule, a, b), rule.cost(&g, ea, eb));
-                    assert!(
-                        ca == cs || (ca.is_nan() && cs.is_nan()),
-                        "cost diverged: {rule} on ({a}, {b}): {ca} vs {cs}"
-                    );
                 }
             }
         }
@@ -888,7 +848,7 @@ mod tests {
         }
     }
 
-    /// Checks `eval_compiled ≡ eval_rule ≡ Rule::eval` (and the cost) for
+    /// Checks `eval_compiled ≡ eval_rule ≡ Rule::eval` for
     /// `rule` on every ordered pair of `g`, and tallies what the
     /// bag-distance pass decided: `[refuted, settled, left open]` pairs.
     fn check_rule_on_all_pairs(g: &Group, arena: &VerifyArena, rule: &Rule) -> [usize; 3] {
@@ -904,7 +864,6 @@ mod tests {
                     scalar,
                     "compiled eval: {rule} on ({a}, {b})"
                 );
-                assert_eq!(arena.rule_cost(rule, a, b), rule.cost(g, ea, eb), "cost: {rule}");
                 match arena.edit_bounds(&compiled, a, b) {
                     None => outcomes[0] += 1,
                     Some(0) => outcomes[2] += 1,

@@ -4,11 +4,15 @@
 //! Both phases are filter–verify:
 //!
 //! * **Positive phase.** Per positive rule, every entity emits composite
-//!   signatures ([`crate::signature`]); an inverted index turns shared
-//!   signatures into candidate pairs. Candidates are verified in *benefit*
-//!   order `B = P/C` (similarity probability over verification cost), and
-//!   pairs already connected through transitivity are skipped via
-//!   union-find — the paper's footnote-4 constant-time check.
+//!   signatures ([`crate::signature`]); inverted lists turn shared
+//!   signatures into candidate pairs. One pass per entity gathers its
+//!   partners, drops those the edit bound refutes, and verifies the rest
+//!   in id order against the live union-find, skipping pairs already
+//!   connected through transitivity — the paper's footnote-4
+//!   constant-time check. The paper's global benefit order `B = P/C` is
+//!   not used: nearly every candidate is already connected by the time
+//!   it would be verified, so ranking them cost more than it saved
+//!   (DESIGN.md §8).
 //! * **Negative phase.** Per negative rule, the pivot's signatures get
 //!   dense ids and postings to the pivot entities emitting them. A
 //!   partition none of whose members' signatures hits the pivot on any
@@ -20,7 +24,7 @@
 //!   pass over the pivot's token postings per member decides its set
 //!   predicates against every pivot entity.
 
-use crate::arena::{CompiledRule, Csr, VerifyArena};
+use crate::arena::{Csr, VerifyArena};
 use crate::discover::{
     check_polarities, cumulate_steps, pick_pivot, Discovery, ScrollStep, Witness,
 };
@@ -35,9 +39,6 @@ use std::collections::hash_map::{Entry, HashMap};
 /// Tuning knobs for DIME⁺ (all defaults match the paper's design).
 #[derive(Debug, Clone, Copy)]
 pub struct DimePlusConfig {
-    /// Verify positive candidates in benefit order (`true`) or in arbitrary
-    /// index order (`false`). Exposed for the ablation benchmarks.
-    pub benefit_order: bool,
     /// Skip candidate pairs already connected via union-find (`true`).
     /// Exposed for the ablation benchmarks.
     pub transitivity_skip: bool,
@@ -53,7 +54,7 @@ pub struct DimePlusConfig {
 
 impl Default for DimePlusConfig {
     fn default() -> Self {
-        Self { benefit_order: true, transitivity_skip: true, threads: 1 }
+        Self { transitivity_skip: true, threads: 1 }
     }
 }
 
@@ -183,17 +184,41 @@ pub fn discover_fast_traced(
     Discovery { partitions, pivot, steps, witnesses }
 }
 
-/// Filter + verification for one positive rule.
+/// Entities per gather-and-verify block: a shard gathers one block's
+/// candidate pairs, then verifies them. It bounds the pairs a shard holds
+/// at once, and sets the span granularity at one worker.
+const BLOCK: usize = 64;
+
+/// Filter + verification for one positive rule: one gather-and-verify
+/// pass over the rule's postings.
 ///
-/// The rule is compiled once: candidates come from the ranking core
-/// ([`rank_positive_rule`]), which drops the pairs the compiled rule's
-/// edit bound refutes, and verification is striped across workers in
-/// benefit order (one stripe on one worker, which runs inline). The result
-/// is order-independent: a pair's verification outcome never depends on
-/// union-find state, a pair skipped by the transitivity check is already
-/// connected, and a pair the bound drops would fail verification, so the
-/// final components are the connected closure of the satisfying candidate
-/// pairs under any interleaving.
+/// The rule is compiled and its signatures built once. Entities `a` are
+/// sharded by residue class over the workers (one shard, inline, at one
+/// worker or below the cutoff), and each shard walks its entities in
+/// blocks of [`BLOCK`]:
+///
+/// 1. **Gather** ([`Candidates::gather`]). Each `a` collects its later
+///    partners from the postings, drops those connected to it in the root
+///    snapshot taken before the rule and those the compiled rule's edit
+///    bound refutes, and keeps the rest in ascending order.
+/// 2. **Verify.** The block's pairs, in `(a, b)` order, against the live
+///    forest: a pair already connected is skipped (the paper's footnote-4
+///    transitivity check), and any other is verified and merged if it
+///    holds.
+///
+/// Gathering reads the snapshot, never the live forest, so the candidate
+/// and bound counters do not depend on the worker count; at more than one
+/// worker, which candidates are verified or skipped does. The result does
+/// not: a pair's verification outcome never depends on union-find state,
+/// a skipped pair is already connected, and a pair the bound drops would
+/// fail verification, so the final components are the connected closure
+/// of the satisfying candidate pairs under any interleaving.
+///
+/// Phase spans come from the calling thread only. At one shard, each
+/// block's gather is an `index_probe` span and its verification a
+/// `verify` span; at more, the calling thread spends the pass in one
+/// `verify` span. Each block's verification is also a `verify_worker`
+/// span on the thread that ran it.
 #[allow(clippy::too_many_arguments)] // internal engine body; `ri` and `sink` ride along
 fn verify_positive_rule(
     arena: &VerifyArena,
@@ -205,39 +230,62 @@ fn verify_positive_rule(
     sink: &dyn TraceSink,
     ri: usize,
 ) {
-    let compiled = {
+    let (compiled, sigs) = {
         let _s = span(sink, "signature_build");
-        arena.compile(rule)
+        (arena.compile(rule), ctx.positive_rule_signatures_threaded(rule, workers))
     };
-    let ranked = rank_positive_rule(arena, ctx, rule, &compiled, uf, config, workers, sink);
+    let probe = span(sink, "index_probe");
+    let n = sigs.len();
+    // The forest as the rule finds it: gathering drops the pairs connected
+    // here, the verify loop those connected since.
+    let roots: Vec<u32> =
+        (0..n).map(|x| if config.transitivity_skip { uf.find(x) } else { x } as u32).collect();
+    let open = |a: u32, b: u32| arena.bound_open(&compiled, a as usize, b as usize);
+    let candidates = Candidates::new(&sigs, roots, open);
+    drop(probe);
 
-    // Striped verification: worker `t` takes pairs t, t+workers, … so all
-    // workers advance through the benefit ranking together. Unions land in
-    // the shared concurrent union-find as they are found. Each stripe
-    // returns its local tally (and its own worker span, so traces show the
-    // interleaving across thread ids).
-    let verify = span(sink, "verify");
-    let stripes = if ranked.len() < crate::par::SEQ_CUTOFF { 1 } else { workers };
-    let tallies: Vec<VerifyTally> = par_shards(stripes, |shard| {
-        let _w = span(sink, "verify_worker");
+    let shards = if n < crate::par::SEQ_CUTOFF { 1 } else { workers };
+    let phases: &dyn TraceSink = if shards == 1 { sink } else { &NOOP };
+    let pass = (shards > 1).then(|| span(sink, "verify"));
+    let tallies: Vec<VerifyTally> = par_shards(shards, |shard| {
+        let mut scratch = Scratch::new(n);
         let mut tally = VerifyTally::default();
-        for pair in ranked.stripe(shard, stripes) {
-            let (a, b) = unpack_pair(pair);
-            if config.transitivity_skip && uf.same(a, b) {
-                tally.skipped += 1;
-                continue;
+        for start in (shard..n).step_by(shards * BLOCK) {
+            {
+                let _p = span(phases, "index_probe");
+                for a in (start..n.min(start + shards * BLOCK)).step_by(shards) {
+                    tally.pruned += candidates.gather(a as u32, &mut scratch);
+                }
             }
-            tally.verified += 1;
-            if arena.eval_compiled(&compiled, a, b) {
-                tally.hits += 1;
-                uf.union(a, b);
+            let _v = span(phases, "verify");
+            let _w = span(sink, "verify_worker");
+            for (a, b) in scratch.pairs.drain(..) {
+                let (a, b) = (a as usize, b as usize);
+                if config.transitivity_skip && uf.same(a, b) {
+                    tally.skipped += 1;
+                    continue;
+                }
+                tally.verified += 1;
+                if arena.eval_compiled(&compiled, a, b) {
+                    tally.hits += 1;
+                    uf.union(a, b);
+                }
             }
         }
         vec![tally]
     });
-    drop(verify);
+    drop(pass);
     if sink.enabled() {
         let total = tallies.iter().fold(VerifyTally::default(), VerifyTally::fold);
+        let total_pairs = (n as u64) * (n as u64 - 1) / 2;
+        let gathered = total.verified + total.skipped + total.pruned;
+        let postings = &candidates.postings;
+        sink.add("signatures_built", postings.entities.len() as u64);
+        sink.add("wildcard_entities", candidates.wildcards.len() as u64);
+        sink.add("candidate_pairs", gathered);
+        sink.add("pairs_pruned_filter", total_pairs.saturating_sub(gathered));
+        sink.add("pairs_pruned_bound", total.pruned);
+        sink.add("index_probes", postings.signatures.len() as u64);
         sink.add("pairs_verified", total.verified);
         sink.add("pairs_skipped_transitivity", total.skipped);
         sink.rule_hits(RuleKind::Positive, ri, total.hits);
@@ -543,311 +591,81 @@ impl PivotOrder {
     }
 }
 
-/// The positive phase's filter: builds one rule's signatures and returns
-/// its candidate pairs in verification order, as a [`rank_candidates`]
-/// ranking. Pairs already connected in `uf` are pruned here — the
-/// transitivity short-circuit applied at gathering time, which keeps the
-/// candidate set small when a previous rule has already built large
-/// components — and so are the pairs `compiled`'s edit cutoffs and
-/// bag-distance bound refute ([`VerifyArena::bound_open`]), which would
-/// fail verification.
-#[allow(clippy::too_many_arguments)] // internal engine body; `sink` rides along
-fn rank_positive_rule(
-    arena: &VerifyArena,
-    ctx: &mut SigContext<'_>,
-    rule: &Rule,
-    compiled: &CompiledRule<'_>,
-    uf: &ConcurrentUnionFind,
-    config: DimePlusConfig,
-    workers: usize,
-    sink: &dyn TraceSink,
-) -> Ranking {
-    let sigs = {
-        let _s = span(sink, "signature_build");
-        ctx.positive_rule_signatures_threaded(rule, workers)
-    };
-    let probe = span(sink, "index_probe");
-    let n = sigs.len();
-    // No union happens while gathering, so a root snapshot answers the
-    // gather-time transitivity check exactly.
-    let roots: Vec<u32> =
-        (0..n).map(|x| if config.transitivity_skip { uf.find(x) } else { x } as u32).collect();
-    let sig_count: Vec<usize> = sigs.iter().map(|s| s.as_ref().map_or(0, Vec::len)).collect();
-    let shards = if n < crate::par::SEQ_CUTOFF { 1 } else { workers };
-    let open = |a: u32, b: u32| arena.bound_open(compiled, a as usize, b as usize);
-    let ranking = rank_candidates(&sigs, &roots, shards, open, |a, b, shared| {
-        if config.benefit_order {
-            benefit_rank(arena, rule, &sig_count, a, b, shared)
-        } else {
-            0
-        }
-    });
-    drop(probe);
-    if sink.enabled() {
-        let total_pairs = (n as u64) * (n as u64 - 1) / 2;
-        let candidates = ranking.len() as u64 + ranking.pruned;
-        sink.add("signatures_built", ranking.postings);
-        sink.add("wildcard_entities", sigs.iter().filter(|s| s.is_none()).count() as u64);
-        sink.add("candidate_pairs", candidates);
-        sink.add("pairs_pruned_filter", total_pairs.saturating_sub(candidates));
-        sink.add("pairs_pruned_bound", ranking.pruned);
-        sink.add("index_probes", ranking.lists);
-    }
-    ranking
+/// One positive rule's candidate source: its signatures and postings, the
+/// union-find roots from before the rule, and the edit bound.
+struct Candidates<'s, F> {
+    /// Per entity, its deduplicated signatures; `None` for a wildcard,
+    /// which pairs with everyone.
+    sigs: &'s [Option<Vec<u64>>],
+    postings: Postings,
+    /// The wildcard entities, ascending (they have no postings).
+    wildcards: Vec<u32>,
+    /// Per entity, its root in the snapshot.
+    roots: Vec<u32>,
+    /// `open(a, b)` is `false` only for pairs that fail the rule.
+    open: F,
 }
 
-/// The rank of `(a, b)` under the benefit order `B = P/C`, with
-/// `P ≈ shared / avg(signature counts)` and `C` the rule's verification
-/// cost: `!B.to_bits()`, so a higher benefit ranks first. `B` is positive
-/// (`shared ≥ 1`, `C ≥ 1e-9`), and the bits of positive floats order like
-/// the floats, so ascending ranks are descending `B` (as `total_cmp`).
-fn benefit_rank(
-    arena: &VerifyArena,
-    rule: &Rule,
-    sig_count: &[usize],
-    a: u32,
-    b: u32,
-    shared: u32,
-) -> u64 {
-    let (a, b) = (a as usize, b as usize);
-    let avg = (sig_count[a] + sig_count[b]).max(1) as f64 / 2.0;
-    let prob = f64::from(shared) / avg;
-    let cost = arena.rule_cost(rule, a, b).max(1e-9);
-    !(prob / cost).to_bits()
-}
-
-/// One positive rule's candidate pairs in verification order.
-struct Ranking {
-    /// Pairs sharing a signature, not already connected, that the bound
-    /// refuted: counted, never ranked.
-    pruned: u64,
-    /// Packed pairs `a << 32 | b` (`a < b`); verification order is the
-    /// buckets' concatenation. Usually one bucket per distinct rank in
-    /// ascending rank order, each bucket ascending; past [`MAX_RUNS`]
-    /// distinct ranks, one bucket sorted by `(rank, pair)`.
-    buckets: Vec<Vec<u64>>,
-    /// Distinct signatures: one inverted list, and one probe, each.
-    lists: u64,
-    /// (signature, entity) postings.
-    postings: u64,
-}
-
-impl Ranking {
-    /// Candidate pairs, over all buckets.
-    fn len(&self) -> usize {
-        self.buckets.iter().map(Vec::len).sum()
+impl<'s, F: Fn(u32, u32) -> bool> Candidates<'s, F> {
+    fn new(sigs: &'s [Option<Vec<u64>>], roots: Vec<u32>, open: F) -> Self {
+        let wildcards = (0u32..).zip(sigs).filter(|(_, s)| s.is_none()).map(|(e, _)| e).collect();
+        Self { sigs, postings: Postings::new(sigs), wildcards, roots, open }
     }
 
-    /// Every `stripes`-th pair of the verification order, starting at
-    /// `shard`, read from the buckets in place.
-    fn stripe(&self, shard: usize, stripes: usize) -> impl Iterator<Item = u64> + '_ {
-        let mut offset = 0;
-        self.buckets.iter().flat_map(move |bucket| {
-            // The first index `≥ offset` congruent to `shard`.
-            let skip = (shard + stripes - offset % stripes) % stripes;
-            offset += bucket.len();
-            bucket.iter().skip(skip).step_by(stripes).copied()
-        })
-    }
-}
-
-/// The entity pair `(a, b)` as a [`Ranking`] bucket entry.
-fn pack_pair(a: u32, b: u32) -> u64 {
-    (u64::from(a) << 32) | u64::from(b)
-}
-
-/// The entity pair packed into a [`Ranking`] bucket entry.
-fn unpack_pair(pair: u64) -> (usize, usize) {
-    ((pair >> 32) as usize, pair as u32 as usize)
-}
-
-/// Ranks every candidate pair of one positive rule without materializing
-/// pair occurrences or sorting them. `sigs[e]` is entity `e`'s
-/// deduplicated signatures (`None` for a wildcard, which pairs with
-/// everyone); pairs with equal `roots` are dropped, and so are pairs
-/// `open(a, b)` refutes (counted in [`Ranking::pruned`]); `rank(a, b,
-/// shared)` orders the rest (ascending, ties by `(a, b)`), given their
-/// shared-signature count plus one per wildcard member.
-///
-/// 1. Flat postings: signature → ascending entity ids.
-/// 2. Per-entity counter pass: entity `a` scans each of its lists past
-///    its own position, so every later partner gets its exact count from
-///    a dense counter, once. Sharded by `a`'s residue class, one counter
-///    array per worker.
-/// 3. Each `a` drops its connected and refuted partners, sorts the rest
-///    and emits them in ascending `b` into its rank's run
-///    ([`RankBuckets`]). Within a shard, `a` ascends and then `b`, so
-///    every run is already `(a, b)`-sorted; with more than one shard, a
-///    bucket's per-shard sorted runs are merged.
-///    Ranks usually take few distinct values (one, without benefit
-///    order), so this replaces a comparison sort of every candidate; past
-///    [`MAX_RUNS`] distinct ranks a shard keys its pairs and sorts them.
-fn rank_candidates(
-    sigs: &[Option<Vec<u64>>],
-    roots: &[u32],
-    shards: usize,
-    open: impl Fn(u32, u32) -> bool + Sync,
-    rank: impl Fn(u32, u32, u32) -> u64 + Sync,
-) -> Ranking {
-    let n = sigs.len();
-    let postings = Postings::new(sigs);
-    let wildcards: Vec<u32> = (0..n as u32).filter(|&e| sigs[e as usize].is_none()).collect();
-    let per_shard: Vec<(RankBuckets, u64)> = par_shards(shards, |shard| {
-        let mut counts = vec![0u32; n];
-        let mut touched: Vec<u32> = Vec::new();
-        let mut out = RankBuckets::default();
-        let mut pruned = 0u64;
-        for a in (shard as u32..n as u32).step_by(shards) {
-            let root = roots[a as usize];
-            let Some(own) = &sigs[a as usize] else {
-                for b in (a + 1..n as u32).filter(|&b| roots[b as usize] != root) {
-                    if !open(a, b) {
-                        pruned += 1;
-                        continue;
-                    }
-                    let shared = 1 + u32::from(sigs[b as usize].is_none());
-                    out.push(rank(a, b, shared), pack_pair(a, b));
-                }
-                continue;
-            };
-            for &sig in own {
-                for &b in postings.after(sig, a) {
-                    if counts[b as usize] == 0 {
-                        touched.push(b);
-                    }
-                    counts[b as usize] += 1;
-                }
-            }
-            // Wildcards have no postings, so later ones are fresh partners.
-            for &b in &wildcards[wildcards.partition_point(|&w| w <= a)..] {
-                counts[b as usize] = 1;
-                touched.push(b);
-            }
-            // Partners already connected to `a`, or refuted by the bound,
-            // drop out (their counts reset) before the rest are ordered.
-            touched.retain(|&b| {
-                let fresh = roots[b as usize] != root;
-                let keep = fresh && open(a, b);
-                pruned += u64::from(fresh && !keep);
-                if !keep {
-                    counts[b as usize] = 0;
-                }
-                keep
-            });
-            // Runs need each `a`'s partners in ascending `b`; keys are
-            // sorted whole on merge.
-            if matches!(out, RankBuckets::Runs { .. }) {
-                touched.sort_unstable();
-            }
-            for b in touched.drain(..) {
-                out.push(rank(a, b, std::mem::take(&mut counts[b as usize])), pack_pair(a, b));
-            }
-        }
-        vec![(out, pruned)]
-    });
-    let (lists, count) = (postings.signatures.len() as u64, postings.entities.len() as u64);
-    drop(postings);
-    let pruned = per_shard.iter().map(|&(_, p)| p).sum();
-    let buckets = RankBuckets::merge(per_shard.into_iter().map(|(out, _)| out).collect());
-    Ranking { buckets, pruned, lists, postings: count }
-}
-
-/// Distinct ranks one shard keeps as runs before it keys its pairs
-/// instead. Each run costs its rank, a `Vec` and that `Vec`'s allocation,
-/// so the cap bounds this overhead to tens of KB whatever the rule; past
-/// it, ranking costs one sort of `(rank, pair)` keys, like a plain
-/// comparison sort of every candidate.
-const MAX_RUNS: usize = 1024;
-
-/// One shard's candidate pairs grouped by rank.
-enum RankBuckets {
-    /// At most [`MAX_RUNS`] distinct ranks: `ranks` ascending, `runs[k]`
-    /// the packed pairs of rank `ranks[k]` in the order pushed, and
-    /// `last` the run pushed to last (on perfbench `dbgen`, 62% of pairs
-    /// repeat the previous pair's rank and skip the search).
-    Runs { ranks: Vec<u64>, runs: Vec<Vec<u64>>, last: usize },
-    /// More distinct ranks: `(rank, pair)` keys, sorted on merge.
-    Keys(Vec<(u64, u64)>),
-}
-
-impl Default for RankBuckets {
-    fn default() -> Self {
-        Self::Runs { ranks: Vec::new(), runs: Vec::new(), last: 0 }
-    }
-}
-
-impl RankBuckets {
-    fn push(&mut self, rank: u64, pair: u64) {
-        match self {
-            Self::Runs { ranks, runs, last } => {
-                if ranks.get(*last) != Some(&rank) {
-                    match ranks.binary_search(&rank) {
-                        Ok(k) => *last = k,
-                        Err(k) if ranks.len() < MAX_RUNS => {
-                            ranks.insert(k, rank);
-                            runs.insert(k, Vec::new());
-                            *last = k;
-                        }
-                        Err(_) => {
-                            let keys = keyed(ranks.iter().copied().zip(std::mem::take(runs)))
-                                .chain([(rank, pair)])
-                                .collect();
-                            *self = Self::Keys(keys);
-                            return;
+    /// Appends `a`'s candidate pairs `(a, b)` to `scratch.pairs`, ascending
+    /// `b > a`: the later entities sharing a signature with `a` (all of
+    /// them when `a` is a wildcard) and the later wildcards, less those in
+    /// `a`'s snapshot component and those the bound refutes. Returns how
+    /// many the bound refuted.
+    fn gather(&self, a: u32, scratch: &mut Scratch) -> u64 {
+        let partners = &mut scratch.partners;
+        match &self.sigs[a as usize] {
+            None => partners.extend(a + 1..self.sigs.len() as u32),
+            Some(own) => {
+                for &sig in own {
+                    for &b in self.postings.after(sig, a) {
+                        if std::mem::replace(&mut scratch.stamp[b as usize], a + 1) != a + 1 {
+                            partners.push(b);
                         }
                     }
                 }
-                runs[*last].push(pair);
-            }
-            Self::Keys(keys) => keys.push((rank, pair)),
-        }
-    }
-
-    /// The shards' pairs as one list of buckets in verification order.
-    /// When every shard kept runs, equal ranks concatenate their sorted
-    /// runs (merged by the stable run-merging sort when there are several
-    /// shards), one bucket per rank; otherwise every pair is keyed and
-    /// the keys sorted into one bucket.
-    fn merge(shards: Vec<RankBuckets>) -> Vec<Vec<u64>> {
-        let several = shards.len() > 1;
-        let (mut runs, mut keys) = (Vec::new(), Vec::new());
-        for shard in shards {
-            match shard {
-                Self::Runs { ranks, runs: r, .. } => runs.extend(ranks.into_iter().zip(r)),
-                Self::Keys(k) if keys.is_empty() => keys = k,
-                Self::Keys(k) => keys.extend(k),
+                partners.extend_from_slice(
+                    &self.wildcards[self.wildcards.partition_point(|&w| w <= a)..],
+                );
             }
         }
-        if !keys.is_empty() {
-            keys.extend(keyed(runs));
-            // Compared as one `u128`, without the tuple's branch; the
-            // projection reuses the keys' allocation.
-            keys.sort_unstable_by_key(|&(rank, pair)| (u128::from(rank) << 64) | u128::from(pair));
-            return vec![keys.into_iter().map(|(_, pair)| pair).collect()];
-        }
-        runs.sort_unstable_by_key(|&(rank, _)| rank);
-        let mut buckets: Vec<(u64, Vec<u64>)> = Vec::with_capacity(runs.len());
-        for (rank, run) in runs {
-            match buckets.last_mut() {
-                Some((last, bucket)) if *last == rank => bucket.extend(run),
-                _ => buckets.push((rank, run)),
+        let root = self.roots[a as usize];
+        let mut pruned = 0;
+        partners.retain(|&b| {
+            self.roots[b as usize] != root && {
+                let open = (self.open)(a, b);
+                pruned += u64::from(!open);
+                open
             }
-        }
-        buckets
-            .into_iter()
-            .map(|(_, mut bucket)| {
-                if several {
-                    bucket.sort();
-                }
-                bucket
-            })
-            .collect()
+        });
+        // Only the survivors are sorted: the bound refutes most of a
+        // q-gram rule's partners.
+        partners.sort_unstable();
+        scratch.pairs.extend(partners.drain(..).map(|b| (a, b)));
+        pruned
     }
 }
 
-/// Every pair of every `(rank, run)` as a `(rank, pair)` key.
-fn keyed(runs: impl IntoIterator<Item = (u64, Vec<u64>)>) -> impl Iterator<Item = (u64, u64)> {
-    runs.into_iter().flat_map(|(rank, run)| run.into_iter().map(move |pair| (rank, pair)))
+/// One shard's gather buffers.
+struct Scratch {
+    /// `stamp[b] == a + 1` once `b` is gathered for `a`, so a partner
+    /// sharing several signatures is gathered once.
+    stamp: Vec<u32>,
+    /// The partners of the entity being gathered.
+    partners: Vec<u32>,
+    /// The block's candidate pairs, in `(a, b)` order.
+    pairs: Vec<(u32, u32)>,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Self {
+        Self { stamp: vec![0; n], partners: Vec::new(), pairs: Vec::new() }
+    }
 }
 
 /// Flat inverted lists: `entities[starts[l]..starts[l + 1]]` are the
@@ -885,10 +703,12 @@ impl Postings {
     }
 }
 
-/// Local accumulation for one verification stripe: hot loops bump these
-/// plain integers and flush them to the [`TraceSink`] once per phase.
+/// Local accumulation for one shard of the positive pass: hot loops bump
+/// these plain integers and flush them to the [`TraceSink`] once per rule.
 #[derive(Debug, Default, Clone, Copy)]
 struct VerifyTally {
+    /// Pairs the bound refuted.
+    pruned: u64,
     /// Pairs skipped because transitivity already connected them.
     skipped: u64,
     /// Pairs actually evaluated against the rule.
@@ -900,6 +720,7 @@ struct VerifyTally {
 impl VerifyTally {
     fn fold(self, other: &VerifyTally) -> VerifyTally {
         VerifyTally {
+            pruned: self.pruned + other.pruned,
             skipped: self.skipped + other.skipped,
             verified: self.verified + other.verified,
             hits: self.hits + other.hits,
@@ -914,7 +735,6 @@ pub(crate) mod tests {
     use crate::entity::{GroupBuilder, Schema};
     use crate::rule::tests::{figure1_group, paper_rules};
     use crate::rule::{Predicate, SimilarityFn};
-    use dime_index::UnionFind;
     use dime_ontology::{NodeId, Ontology};
     use dime_text::TokenizerKind;
     use proptest::prelude::*;
@@ -952,13 +772,11 @@ pub(crate) mod tests {
         let g = figure1_group();
         let (pos, neg) = paper_rules();
         let reference = discover_naive(&g, &pos, &neg);
-        for benefit_order in [false, true] {
-            for transitivity_skip in [false, true] {
-                for threads in [1usize, 2, 4] {
-                    let cfg = DimePlusConfig { benefit_order, transitivity_skip, threads };
-                    let got = discover_fast_with(&g, &pos, &neg, cfg);
-                    assert_eq!(got, reference, "config {cfg:?} diverged");
-                }
+        for transitivity_skip in [false, true] {
+            for threads in [1usize, 2, 4] {
+                let cfg = DimePlusConfig { transitivity_skip, threads };
+                let got = discover_fast_with(&g, &pos, &neg, cfg);
+                assert_eq!(got, reference, "config {cfg:?} diverged");
             }
         }
     }
@@ -1016,16 +834,14 @@ pub(crate) mod tests {
         );
         assert_eq!(naive.pivot, 4);
         assert_eq!(discover_fast(&g, &pos, &neg), naive);
-        for benefit_order in [false, true] {
-            for transitivity_skip in [false, true] {
-                for threads in [1usize, 2, 4] {
-                    let cfg = DimePlusConfig { benefit_order, transitivity_skip, threads };
-                    assert_eq!(
-                        discover_fast_with(&g, &pos, &neg, cfg),
-                        naive,
-                        "config {cfg:?} diverged on the regression seed"
-                    );
-                }
+        for transitivity_skip in [false, true] {
+            for threads in [1usize, 2, 4] {
+                let cfg = DimePlusConfig { transitivity_skip, threads };
+                assert_eq!(
+                    discover_fast_with(&g, &pos, &neg, cfg),
+                    naive,
+                    "config {cfg:?} diverged on the regression seed"
+                );
             }
         }
     }
@@ -1162,8 +978,8 @@ pub(crate) mod tests {
     }
 
     /// Pins the one-worker engine's traced counters on the golden group:
-    /// candidate generation, ranking and verification order may be
-    /// re-implemented, but never change what the engine counts. Only the
+    /// candidate generation and verification may be re-implemented, but
+    /// never change what the engine counts. Only the
     /// candidates the edit bound leaves open are verified or skipped.
     #[test]
     fn golden_counters_sequential() {
@@ -1237,9 +1053,12 @@ pub(crate) mod tests {
                     }
                     open
                 };
-                let ranking = rank_candidates(&sigs, &roots, 1, open, |_, _, _| 0);
+                let candidates = Candidates::new(&sigs, roots.clone(), open);
+                let mut scratch = Scratch::new(g.len());
+                let pruned: u64 =
+                    (0..g.len() as u32).map(|a| candidates.gather(a, &mut scratch)).sum();
                 let refuted = refuted.into_inner().expect("no panic while held");
-                assert_eq!(refuted.len() as u64, ranking.pruned, "{rule}");
+                assert_eq!(refuted.len() as u64, pruned, "{rule}");
                 for (a, b) in refuted {
                     assert!(!arena.eval_compiled(&compiled, a, b), "{rule} on ({a}, {b})");
                     assert!(!rule.eval(&g, g.entity(a), g.entity(b)), "{rule} on ({a}, {b})");
@@ -1547,127 +1366,68 @@ pub(crate) mod tests {
         b.build()
     }
 
-    /// Brute-force reference for [`rank_candidates`]: every pair not
-    /// connected in `roots` that shares a signature or has a wildcard
-    /// member, with count = shared signatures + one per wildcard member,
-    /// ordered by `(B desc, a, b)` under `total_cmp` (or by `(a, b)`),
-    /// less the pairs `compiled`'s bound refutes, which are only counted.
-    fn reference_ranking(
-        arena: &VerifyArena,
-        rule: &Rule,
-        compiled: &CompiledRule<'_>,
-        sigs: &[Option<Vec<u64>>],
-        roots: &[u32],
-        benefit_order: bool,
-    ) -> (Vec<(u32, u32, u32)>, u64) {
-        let n = sigs.len();
-        let len = |e: usize| sigs[e].as_ref().map_or(0, Vec::len);
-        let mut pairs: Vec<(f64, u32, u32, u32)> = Vec::new();
-        let mut pruned = 0;
-        for a in 0..n {
-            for b in a + 1..n {
-                let shared = match (&sigs[a], &sigs[b]) {
-                    (Some(x), Some(y)) => x.iter().filter(|s| y.contains(s)).count(),
-                    _ => 0,
-                };
-                let count =
-                    shared + usize::from(sigs[a].is_none()) + usize::from(sigs[b].is_none());
-                if count == 0 || roots[a] == roots[b] {
-                    continue;
-                }
-                if !arena.bound_open(compiled, a, b) {
-                    pruned += 1;
-                    continue;
-                }
-                let avg = (len(a) + len(b)).max(1) as f64 / 2.0;
-                let cost = arena.rule_cost(rule, a, b).max(1e-9);
-                let benefit = if benefit_order { count as f64 / avg / cost } else { 0.0 };
-                pairs.push((benefit, a as u32, b as u32, count as u32));
-            }
-        }
-        pairs.sort_by(|x, y| y.0.total_cmp(&x.0).then_with(|| (x.1, x.2).cmp(&(y.1, y.2))));
-        (pairs.into_iter().map(|(_, a, b, c)| (a, b, c)).collect(), pruned)
-    }
-
-    /// Runs [`rank_candidates`] on `g` (with `links` pre-connected) for
-    /// each of `rules`, at 1, 2 and 4 shards under both verification
-    /// orders, and checks the order, each pair's count, the pairs the
-    /// bound refuted and the list and posting totals against the
-    /// reference. Returns the most distinct benefit ranks any rule's
-    /// candidates took.
-    fn check_rank_candidates(g: &Group, links: &[(usize, usize)], rules: &[Rule]) -> usize {
+    /// Runs [`verify_positive_rule`] for each of `rules` on `g`, with
+    /// `links` merged into the forest first, at 1, 2 and 4 workers, and
+    /// checks it against brute force. The candidates are the pairs that
+    /// share a signature (or have a wildcard side) and sit in different
+    /// snapshot roots; the bound drops the candidates it refutes; every
+    /// other candidate is verified or skipped; and the forest ends as the
+    /// closure of the links and of every pair that satisfies the rule.
+    fn check_gather(g: &Group, links: &[(usize, usize)], rules: &[Rule]) {
+        use dime_trace::Recorder;
         let n = g.len();
-        let mut uf = UnionFind::new(n);
-        for &(x, y) in links {
-            uf.union(x % n, y % n);
-        }
-        let roots: Vec<u32> = (0..n).map(|x| uf.find(x) as u32).collect();
+        let linked = || {
+            let uf = ConcurrentUnionFind::new(n);
+            for &(x, y) in links {
+                uf.union(x % n, y % n);
+            }
+            uf
+        };
         let arena = VerifyArena::new(g);
         let mut ctx = SigContext::new(g);
-        let mut most_ranks = 0;
         for rule in rules {
             let compiled = arena.compile(rule);
             let sigs = ctx.positive_rule_signatures(rule);
-            let sig_count: Vec<usize> =
-                sigs.iter().map(|s| s.as_ref().map_or(0, Vec::len)).collect();
-            let distinct: HashSet<u64> = sigs.iter().flatten().flatten().copied().collect();
-            for benefit_order in [false, true] {
-                let (expected, pruned) =
-                    reference_ranking(&arena, rule, &compiled, &sigs, &roots, benefit_order);
-                let want: Vec<(usize, usize)> =
-                    expected.iter().map(|&(a, b, _)| (a as usize, b as usize)).collect();
-                let mut want_counts = expected;
-                want_counts.sort_unstable();
-                let ranks: HashSet<u64> = want_counts
-                    .iter()
-                    .map(|&(a, b, shared)| benefit_rank(&arena, rule, &sig_count, a, b, shared))
-                    .collect();
-                most_ranks = most_ranks.max(ranks.len());
-                for shards in [1usize, 2, 4] {
-                    let seen = std::sync::Mutex::new(Vec::new());
-                    let open = |a: u32, b: u32| arena.bound_open(&compiled, a as usize, b as usize);
-                    let ranking = rank_candidates(&sigs, &roots, shards, open, |a, b, shared| {
-                        seen.lock().expect("no panic while held").push((a, b, shared));
-                        if benefit_order {
-                            benefit_rank(&arena, rule, &sig_count, a, b, shared)
-                        } else {
-                            0
-                        }
-                    });
-                    let order: Vec<(usize, usize)> =
-                        ranking.buckets.iter().flatten().map(|&p| unpack_pair(p)).collect();
-                    assert_eq!(order, want, "order, shards = {shards}");
-                    assert_eq!(ranking.len(), want.len());
-                    assert_eq!(ranking.pruned, pruned, "pruned, shards = {shards}");
-                    for stripes in 1..=3 {
-                        // Striping deals the order out round-robin.
-                        let mut dealt: Vec<(usize, usize)> = Vec::new();
-                        let mut lanes: Vec<Vec<u64>> =
-                            (0..stripes).map(|t| ranking.stripe(t, stripes).collect()).collect();
-                        for lane in &mut lanes {
-                            lane.reverse();
-                        }
-                        for i in 0..want.len() {
-                            let pair = lanes[i % stripes].pop().expect("lane ran dry");
-                            dealt.push(unpack_pair(pair));
-                        }
-                        assert!(lanes.iter().all(Vec::is_empty), "stripes = {stripes}");
-                        assert_eq!(dealt, want, "stripes = {stripes}");
+            let (snapshot, closure) = (linked(), linked());
+            let (mut candidates, mut refuted) = (0u64, 0u64);
+            for a in 0..n {
+                for b in a + 1..n {
+                    if rule.eval(g, g.entity(a), g.entity(b)) {
+                        closure.union(a, b);
                     }
-                    let mut counted = seen.into_inner().expect("no panic while held");
-                    counted.sort_unstable();
-                    assert_eq!(counted, want_counts, "counts, shards = {shards}");
-                    assert_eq!(ranking.lists, distinct.len() as u64);
-                    assert_eq!(ranking.postings, sig_count.iter().sum::<usize>() as u64);
+                    let shared = match (&sigs[a], &sigs[b]) {
+                        (Some(x), Some(y)) => x.iter().any(|s| y.contains(s)),
+                        _ => true,
+                    };
+                    if shared && !snapshot.same(a, b) {
+                        candidates += 1;
+                        refuted += u64::from(!arena.bound_open(&compiled, a, b));
+                    }
                 }
             }
+            for workers in [1usize, 2, 4] {
+                let (uf, rec) = (linked(), Recorder::new());
+                let cfg = DimePlusConfig::default();
+                verify_positive_rule(&arena, &mut ctx, rule, &uf, cfg, workers, &rec, 0);
+                let report = rec.snapshot();
+                let [gathered, pruned, verified, skipped] = [
+                    "candidate_pairs",
+                    "pairs_pruned_bound",
+                    "pairs_verified",
+                    "pairs_skipped_transitivity",
+                ]
+                .map(|name| report.counter(name));
+                assert_eq!(gathered, candidates, "{rule}, workers = {workers}");
+                assert_eq!(pruned, refuted, "{rule}, workers = {workers}");
+                assert_eq!(verified + skipped, candidates - refuted, "{rule}, workers = {workers}");
+                assert_eq!(uf.components(), closure.components(), "{rule}, workers = {workers}");
+            }
         }
-        most_ranks
     }
 
     /// An edit-similarity rule and an overlap + Jaccard rule over
     /// [`random_group`]'s attributes.
-    fn ranking_rules() -> [Rule; 2] {
+    fn gather_rules() -> [Rule; 2] {
         [
             Rule::positive(vec![Predicate::new(0, SimilarityFn::EditSimilarity, 0.6)]),
             Rule::positive(vec![
@@ -1675,93 +1435,6 @@ pub(crate) mod tests {
                 Predicate::new(0, SimilarityFn::Jaccard, 0.5),
             ]),
         ]
-    }
-
-    /// A dense group: every entity shares author `a0`, so each `a` pairs
-    /// with every later entity; few distinct ranks, so every shard keeps
-    /// runs.
-    #[test]
-    fn rank_candidates_dense_group() {
-        let lists: Vec<Vec<u32>> = (0..160u32).map(|i| vec![0, 1 + i % 7]).collect();
-        let titles: Vec<String> =
-            (0..160).map(|i| ["ab", "ba", "abab", "b a", ""][i % 5].to_string()).collect();
-        let g = random_group(&lists, &titles);
-        let ranks = check_rank_candidates(&g, &[(3, 9), (9, 40), (100, 7)], &ranking_rules());
-        assert!((2..=MAX_RUNS).contains(&ranks), "{ranks} distinct ranks");
-    }
-
-    /// A sparse group with wide partner spans: entity `i` shares its one
-    /// author and its title with `i ± 150`, `i ± 300`, …, so each `a` has a
-    /// few partners hundreds of ids apart.
-    #[test]
-    fn rank_candidates_sparse_group() {
-        let lists: Vec<Vec<u32>> = (0..600u32).map(|i| vec![i % 150]).collect();
-        // One six-letter title per author class, so title signatures are
-        // shared along the same wide strides.
-        let titles: Vec<String> = (0..600usize)
-            .map(|i| {
-                let c = i % 150;
-                (0..6)
-                    .map(|j| char::from(b'a' + ((c * 31 + j * 17 + c * j * 7) % 26) as u8))
-                    .collect()
-            })
-            .collect();
-        let g = random_group(&lists, &titles);
-        check_rank_candidates(&g, &[(0, 150), (2, 5)], &ranking_rules());
-    }
-
-    /// Many distinct ranks: a Jaccard rule over long author lists of
-    /// varied length plus an overlap predicate on titles of varied length
-    /// gives each pair its own shared count and verification cost, so a
-    /// single shard passes [`MAX_RUNS`] and keys its pairs.
-    #[test]
-    fn rank_candidates_many_ranks() {
-        let lists: Vec<Vec<u32>> = (0..300u32)
-            .map(|i| (0..1 + (i * 11) % 37).map(|j| (i * 7 + j * 3) % 90).collect())
-            .collect();
-        let titles: Vec<String> = (0..300usize)
-            .map(|i| {
-                let words = 1 + (i * 5) % 9;
-                (0..words).map(|j| format!("w{}", (i + j * 4) % 12)).collect::<Vec<_>>().join(" ")
-            })
-            .collect();
-        let g = random_group(&lists, &titles);
-        let rule = Rule::positive(vec![
-            Predicate::new(1, SimilarityFn::Jaccard, 0.2),
-            Predicate::new(0, SimilarityFn::Overlap, 1.0),
-        ]);
-        let ranks = check_rank_candidates(&g, &[(1, 2), (50, 7)], &[rule]);
-        assert!(ranks > MAX_RUNS, "{ranks} distinct ranks");
-    }
-
-    /// A shard past [`MAX_RUNS`] distinct ranks switches to keys; any mix
-    /// of shards that kept runs and shards that keyed merges to
-    /// `(rank, pair)` order.
-    #[test]
-    fn rank_buckets_spill_to_keys() {
-        let rank = |pair: u64, ranks: u64| (pair % ranks).wrapping_mul(0x0123_4567_89AB_CDEF);
-        // Each shard's distinct-rank count; shard `s` of `k` gets pairs
-        // `s, s + k, …` in ascending order, as in `rank_candidates`.
-        for shard_ranks in [vec![997], vec![3_001], vec![997, 997], vec![3_001, 100]] {
-            let k = shard_ranks.len();
-            let mut want = Vec::new();
-            let shards: Vec<RankBuckets> = (0u64..)
-                .zip(&shard_ranks)
-                .map(|(s, &ranks)| {
-                    let mut buckets = RankBuckets::default();
-                    for pair in (s..20_000).step_by(k) {
-                        buckets.push(rank(pair, ranks), pair);
-                        want.push((rank(pair, ranks), pair));
-                    }
-                    let spilled = matches!(buckets, RankBuckets::Keys(_));
-                    assert_eq!(spilled, ranks as usize > MAX_RUNS, "ranks = {ranks}");
-                    buckets
-                })
-                .collect();
-            want.sort_unstable();
-            let want: Vec<u64> = want.into_iter().map(|(_, pair)| pair).collect();
-            assert_eq!(RankBuckets::merge(shards).concat(), want, "ranks {shard_ranks:?}");
-        }
     }
 
     proptest! {
@@ -1837,18 +1510,18 @@ pub(crate) mod tests {
             }
         }
 
-        /// The positive phase's ranking core against the brute-force
-        /// reference, on groups with wildcard entities (edit similarity on
-        /// very short or repetitive titles) and empty-token entities, with
-        /// random pre-connected components.
+        /// The gather-and-verify pass against brute force, on groups with
+        /// wildcard entities (edit similarity on very short or repetitive
+        /// titles) and empty-token entities, with random pre-connected
+        /// components; groups past the sequential cutoff shard.
         #[test]
-        fn prop_rank_candidates_matches_brute_force(
-            lists in proptest::collection::vec(proptest::collection::vec(0u32..6, 0..4), 1..20),
-            titles in proptest::collection::vec("[ab ]{0,6}", 20),
-            links in proptest::collection::vec((0usize..20, 0usize..20), 0..8),
+        fn prop_gather_matches_brute_force(
+            lists in proptest::collection::vec(proptest::collection::vec(0u32..6, 0..4), 1..100),
+            titles in proptest::collection::vec("[ab ]{0,6}", 100),
+            links in proptest::collection::vec((0usize..100, 0usize..100), 0..8),
         ) {
             let g = random_group(&lists, &titles[..lists.len()]);
-            check_rank_candidates(&g, &links, &ranking_rules());
+            check_gather(&g, &links, &gather_rules());
         }
 
         /// Engine equivalence with *edit* predicates in play: the fast and

@@ -14,7 +14,7 @@
 //!
 //! * [`discover_naive`] — Algorithm 1, the `O(n²)` all-pairs baseline;
 //! * DIME⁺ — Algorithm 2, the signature-based filter–verify engine with
-//!   benefit-ordered verification and transitivity short-circuiting. It
+//!   transitivity short-circuiting against a live union-find. It
 //!   returns bit-identical results. There is one implementation: both
 //!   phases are sharded across scoped worker threads over a lock-free
 //!   union-find. [`discover_fast`] runs that body on one worker, inline

@@ -59,9 +59,9 @@ where
 }
 
 /// Runs `f(worker_index)` once per worker and concatenates the returned
-/// buffers in worker order — the fan-out used for sharded candidate
-/// generation and striped verification, where each worker walks its own
-/// residue class.
+/// buffers in worker order — the fan-out used for the positive phase's
+/// gather-and-verify pass, where each worker walks its own residue class
+/// of entities, and for flagging runs of partitions.
 pub(crate) fn par_shards<T, F>(threads: usize, f: F) -> Vec<T>
 where
     T: Send,

@@ -295,9 +295,8 @@ impl Predicate {
             | SimilarityFn::Cosine => (va.tokens.len() + vb.tokens.len()) as f64,
             SimilarityFn::EditSimilarity | SimilarityFn::EditDistance => {
                 // The DP runs over *chars*, so the cost model must too;
-                // `text.len()` (bytes) over-prices non-ASCII values and
-                // distorts the benefit order. Char counts are cached at
-                // group-load time.
+                // `text.len()` (bytes) over-prices non-ASCII values. Char
+                // counts are cached at group-load time.
                 let min = va.char_len.min(vb.char_len) as f64;
                 (self.threshold.max(1.0)) * min
             }

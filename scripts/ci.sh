@@ -168,10 +168,11 @@ run_perfbench_selftest() {
 # not of its speed: a perf change that moves one of these counters changed
 # which pairs DIME⁺ filters or verifies. dbgen's work is mostly the
 # positive phase (3.66M candidate pairs, of which the edit bound refutes
-# all but 0.25M before ranking), scholar's mostly the negative phase
-# (2.54M negative pairs), so between them both phases of the engine are
-# pinned. By time, scholar's discovery is led by index_probe, not flag:
-# the negative phase decides its pairs from counts.
+# all but 0.25M while they are gathered, before any is verified),
+# scholar's mostly the negative phase (2.54M negative pairs), so between
+# them both phases of the engine are pinned. By time, scholar's
+# discovery is led by flag and index_probe: the negative phase decides
+# its pairs from counts.
 perfbench_pinned() { # workload '{"core.<counter>": value, ...}'
   python3 perfbench/run.py --workload "$1" --seed 1101 --seconds 2 --trace 1 \
     > "$SCRATCH/perfbench-counters-$1.out" || return 1
@@ -193,10 +194,10 @@ run_perfbench_counters() {
   fi
   perfbench_pinned dbgen '{
     "core.candidate_pairs": 3658181,
-    "core.pairs_verified": 188506,
+    "core.pairs_verified": 194295,
     "core.negative_pairs_verified": 4236,
     "core.index_probes": 44569,
-    "core.pairs_skipped_transitivity": 61997,
+    "core.pairs_skipped_transitivity": 56208,
     "core.uf_merges": 16606
   }' || return 1
   perfbench_pinned scholar '{

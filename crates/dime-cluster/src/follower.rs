@@ -7,23 +7,31 @@
 //! bound address, so a router can redirect traffic with zero
 //! closed-session data loss.
 //!
+//! Replication sockets live on `dime-serve`'s poll loop
+//! ([`Admission::serve`] with [`ReplCodec`]), with two fixed settings:
+//! **one worker**, which orders `promote` strictly before or after every
+//! record (a link has one record in flight anyway, and every append takes
+//! the `wals` lock), and **no idle timeout**, since a primary holds its
+//! link across quiet periods. A refused frame gets no ack and closes only
+//! its own connection (DESIGN.md §9).
+//!
 //! The follower's data directory is laid out exactly like a primary's
 //! (`<data_dir>/sessions/<id>/wal.log` + snapshots), so promotion is
 //! nothing special: it is `dime_serve::Server::bind` on a directory that
 //! happens to have been written by replication instead of by a local
 //! serve loop.
 
-use crate::repl::{read_repl_frame, write_repl_frame, ReplFrame};
-use dime_serve::{ServeConfig, Server, ServerHandle};
+use crate::repl::{ReplCodec, ReplFrame};
+use dime_serve::session::lock;
+use dime_serve::{Admission, ServeConfig, Server, ServerHandle};
 use dime_store::wal::recover;
 use dime_store::{
     decode_record, FsyncPolicy, Recovery, SessionWal, StoreConfig, StoreStats, WalOp,
 };
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -45,9 +53,6 @@ pub struct FollowerConfig {
     pub serve_addr: String,
     /// Worker threads of the promoted server (`0` = auto).
     pub workers: usize,
-    /// How often an idle replication connection re-checks the shutdown
-    /// flag.
-    pub poll_interval: Duration,
 }
 
 impl Default for FollowerConfig {
@@ -59,29 +64,17 @@ impl Default for FollowerConfig {
             snapshot_every: 256,
             serve_addr: "127.0.0.1:0".to_string(),
             workers: 0,
-            poll_interval: Duration::from_millis(25),
         }
     }
 }
 
 struct Shared {
     config: FollowerConfig,
-    addr: SocketAddr,
-    shutdown: AtomicBool,
-    promoting: AtomicBool,
+    admission: Admission,
     wals: Mutex<HashMap<u64, SessionWal>>,
     stats: Arc<StoreStats>,
     promoted: Mutex<Option<Server>>,
     promoted_handle: Mutex<Option<ServerHandle>>,
-}
-
-impl Shared {
-    fn initiate_shutdown(&self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-    }
 }
 
 /// A cloneable handle for observing and stopping a running [`Follower`].
@@ -91,24 +84,18 @@ pub struct FollowerHandle {
 }
 
 impl FollowerHandle {
-    /// The bound replication address.
-    pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
-    }
-
     /// Stops the replication loop; if the follower was promoted, also
     /// initiates the promoted server's graceful shutdown.
     pub fn shutdown(&self) {
-        self.shared.initiate_shutdown();
-        let handle = self.shared.promoted_handle.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(h) = handle.as_ref() {
+        self.shared.admission.initiate_shutdown();
+        if let Some(h) = lock(&self.shared.promoted_handle).as_ref() {
             h.shutdown();
         }
     }
 
     /// The promoted server's handle, once a `promote` has been served.
     pub fn promoted(&self) -> Option<ServerHandle> {
-        self.shared.promoted_handle.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        lock(&self.shared.promoted_handle).clone()
     }
 }
 
@@ -124,11 +111,11 @@ impl Follower {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         std::fs::create_dir_all(config.data_dir.join("sessions"))?;
+        let serve =
+            ServeConfig { workers: 1, idle_timeout: Duration::MAX, ..ServeConfig::default() };
         let shared = Arc::new(Shared {
             config,
-            addr,
-            shutdown: AtomicBool::new(false),
-            promoting: AtomicBool::new(false),
+            admission: Admission::new(serve, addr),
             wals: Mutex::new(HashMap::new()),
             stats: Arc::new(StoreStats::default()),
             promoted: Mutex::new(None),
@@ -139,7 +126,7 @@ impl Follower {
 
     /// The bound replication address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.shared.admission.addr()
     }
 
     /// A handle for stopping the follower from another thread.
@@ -151,18 +138,11 @@ impl Follower {
     /// order arrives, after which this call *becomes* the promoted
     /// server's `run`: it returns when the promoted server has drained.
     pub fn run(self) -> io::Result<()> {
-        std::thread::scope(|scope| {
-            for stream in self.listener.incoming() {
-                if self.shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let shared = Arc::clone(&self.shared);
-                scope.spawn(move || serve_repl_conn(stream, &shared));
-            }
-        });
-        drop(self.listener);
-        let server = self.shared.promoted.lock().unwrap_or_else(|e| e.into_inner()).take();
+        let shared = &*self.shared;
+        shared.admission.serve(self.listener, &dime_trace::NOOP, &ReplCodec, |frame| {
+            handle_frame(frame, shared)
+        })?;
+        let server = lock(&shared.promoted).take();
         match server {
             Some(server) => server.run(),
             None => Ok(()),
@@ -170,82 +150,30 @@ impl Follower {
     }
 }
 
-/// Serves one replication connection: records are appended and acked;
-/// a `promote` ends the replication phase for the whole follower.
-fn serve_repl_conn(stream: TcpStream, shared: &Shared) {
-    let mut stream = stream;
-    if stream.set_nodelay(true).is_err() {
-        return;
-    }
-    loop {
-        let frame = match read_frame_polled(&mut stream, shared) {
-            Ok(Some(f)) => f,
-            Ok(None) => return,
-            Err(_) => return,
-        };
-        match frame {
-            ReplFrame::Record { session, payload } => {
-                if shared.promoting.load(Ordering::SeqCst) {
-                    // A promoted follower is a primary now; its log is no
-                    // longer anyone's mirror.
-                    return;
-                }
-                match apply_record(shared, session, &payload) {
-                    Ok(seq) => {
-                        if write_repl_frame(&mut stream, &ReplFrame::Ack { session, seq }).is_err()
-                        {
-                            return;
-                        }
-                    }
-                    Err(e) => {
-                        // No ack: the primary sees the failed round trip
-                        // and fails open. Dropping the connection keeps
-                        // the stream from desynchronizing.
-                        eprintln!("dime-cluster: follower append failed: {e}");
-                        return;
-                    }
-                }
-            }
-            ReplFrame::Promote => {
-                promote(shared, &mut stream);
-                return;
-            }
-            other => {
-                eprintln!("dime-cluster: unexpected replication frame {other:?}");
-                return;
-            }
+/// The follower's request handler: a record is appended and acked, a
+/// `promote` ends the replication phase for the whole follower, and
+/// everything else is refused (`None`: no ack, connection closed). The
+/// primary sees a refused record as a failed round trip and fails open;
+/// closing the connection keeps the stream from desynchronizing.
+fn handle_frame(frame: &ReplFrame, shared: &Shared) -> Option<ReplFrame> {
+    let promoted = lock(&shared.promoted_handle).as_ref().map(ServerHandle::addr);
+    match (frame, promoted) {
+        // A promoted follower is a primary now; its log is no longer
+        // anyone's mirror.
+        (ReplFrame::Record { .. }, Some(_)) => None,
+        (ReplFrame::Record { session, payload }, None) => apply_record(shared, *session, payload)
+            .map(|seq| ReplFrame::Ack { session: *session, seq })
+            .map_err(|e| eprintln!("dime-cluster: follower append failed: {e}"))
+            .ok(),
+        // A second promote order is a router bug; answer with the
+        // already-promoted address.
+        (ReplFrame::Promote, Some(addr)) => Some(ReplFrame::PromoteAck { addr: addr.to_string() }),
+        (ReplFrame::Promote, None) => promote(shared),
+        (other, _) => {
+            eprintln!("dime-cluster: unexpected replication frame {other:?}");
+            None
         }
     }
-}
-
-/// Waits for the next frame, re-checking the shutdown flag between read
-/// polls. Only the wait for the *first* byte is polled; once a frame has
-/// started arriving the rest is read with a generous timeout, so a poll
-/// boundary can never split a frame. The frame itself decodes through
-/// [`read_repl_frame`], fed the consumed byte ahead of the stream.
-fn read_frame_polled(stream: &mut TcpStream, shared: &Shared) -> io::Result<Option<ReplFrame>> {
-    use std::io::Read;
-    stream.set_read_timeout(Some(shared.config.poll_interval))?;
-    let mut first = [0u8; 1];
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return Ok(None);
-        }
-        match stream.read(&mut first) {
-            Ok(0) => return Ok(None),
-            Ok(_) => break,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    read_repl_frame(&mut first.as_slice().chain(&*stream)).map(Some)
 }
 
 /// Appends one streamed record to the session's mirrored WAL, creating or
@@ -258,7 +186,7 @@ fn apply_record(shared: &Shared, session: u64, payload: &[u8]) -> io::Result<u64
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad record: {e}")))?;
     let is_open = matches!(op, WalOp::Open { .. });
     let is_close = matches!(op, WalOp::Close);
-    let mut wals = shared.wals.lock().unwrap_or_else(|e| e.into_inner());
+    let mut wals = lock(&shared.wals);
     if is_open || !wals.contains_key(&session) {
         let dir = shared.config.data_dir.join("sessions").join(session.to_string());
         let wal = if is_open {
@@ -299,27 +227,15 @@ fn apply_record(shared: &Shared, session: u64, payload: &[u8]) -> io::Result<u64
 
 /// Serves a `promote` order: flush and release every mirrored WAL, bind a
 /// full discovery server on the mirrored data directory (its bind runs
-/// the ordinary snapshot-then-tail recovery), answer with the bound
-/// address, and hand the server to [`Follower::run`].
-fn promote(shared: &Shared, stream: &mut TcpStream) {
-    if shared.promoting.swap(true, Ordering::SeqCst) {
-        // A second promote order is a router bug; answer with the
-        // already-promoted address if we have one.
-        let handle = shared.promoted_handle.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(h) = handle.as_ref() {
-            let _ = write_repl_frame(stream, &ReplFrame::PromoteAck { addr: h.addr().to_string() });
+/// the ordinary snapshot-then-tail recovery), stop admitting replication,
+/// and answer with the bound address; [`Follower::run`] then serves the
+/// promoted server. A failed bind is refused and leaves the follower
+/// replicating.
+fn promote(shared: &Shared) -> Option<ReplFrame> {
+    for (_, mut wal) in lock(&shared.wals).drain() {
+        if let Err(e) = wal.sync() {
+            eprintln!("dime-cluster: pre-promotion sync failed: {e}");
         }
-        return;
-    }
-    {
-        // dime-check: allow(lock-order) — the promoted_handle guard above lives inside an always-returning branch and this wals guard inside this block; the two are never held together
-        let mut wals = shared.wals.lock().unwrap_or_else(|e| e.into_inner());
-        for wal in wals.values_mut() {
-            if let Err(e) = wal.sync() {
-                eprintln!("dime-cluster: pre-promotion sync failed: {e}");
-            }
-        }
-        wals.clear();
     }
     let config = ServeConfig {
         addr: shared.config.serve_addr.clone(),
@@ -334,16 +250,14 @@ fn promote(shared: &Shared, stream: &mut TcpStream) {
     match Server::bind(config) {
         Ok(server) => {
             let addr = server.local_addr();
-            *shared.promoted_handle.lock().unwrap_or_else(|e| e.into_inner()) =
-                Some(server.handle());
-            *shared.promoted.lock().unwrap_or_else(|e| e.into_inner()) = Some(server);
-            let _ = write_repl_frame(stream, &ReplFrame::PromoteAck { addr: addr.to_string() });
-            // Stop accepting replication; `run` switches to serving.
-            shared.initiate_shutdown();
+            *lock(&shared.promoted_handle) = Some(server.handle());
+            *lock(&shared.promoted) = Some(server);
+            shared.admission.initiate_shutdown();
+            Some(ReplFrame::PromoteAck { addr: addr.to_string() })
         }
         Err(e) => {
             eprintln!("dime-cluster: promotion failed to bind a server: {e}");
-            shared.promoting.store(false, Ordering::SeqCst);
+            None
         }
     }
 }
@@ -351,9 +265,13 @@ fn promote(shared: &Shared, stream: &mut TcpStream) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repl::{read_repl_frame, FollowerLink};
+    use crate::repl::{read_repl_frame, write_repl_frame, FollowerLink};
     use dime_store::{encode_record, WalTap};
-    use std::sync::atomic::AtomicU64;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::thread::JoinHandle;
+    use std::time::Instant;
 
     fn temp_dir(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
@@ -488,6 +406,135 @@ mod tests {
 
         handle.shutdown();
         runner.join().expect("runner").expect("clean run");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// Binds and runs a follower under a fresh directory; returns the
+    /// directory, the replication address, the handle and the runner.
+    fn start(tag: &str) -> (PathBuf, SocketAddr, FollowerHandle, JoinHandle<io::Result<()>>) {
+        let dir = temp_dir(tag);
+        let follower = Follower::bind(FollowerConfig {
+            data_dir: dir.clone(),
+            fsync: FsyncPolicy::Never,
+            ..FollowerConfig::default()
+        })
+        .expect("bind follower");
+        let (addr, handle) = (follower.local_addr(), follower.handle());
+        (dir, addr, handle, std::thread::spawn(move || follower.run()))
+    }
+
+    fn open_record() -> Vec<u8> {
+        encode_record(1, &WalOp::Open { doc: doc(), rules: RULES.into() })
+    }
+
+    fn add_record(seq: u64, value: &str) -> Vec<u8> {
+        encode_record(seq, &WalOp::AddEntity { values: vec![value.into()] })
+    }
+
+    /// The replication cap is the store's payload cap, not the JSON
+    /// protocol's frame cap: a record over 1 MiB is acked.
+    #[test]
+    fn record_over_the_json_frame_cap_is_acked() {
+        let (dir, addr, handle, runner) = start("large");
+        let link = FollowerLink::new(addr.to_string(), Duration::from_secs(10));
+        link.record_committed(1, &open_record()).expect("open");
+        let big = add_record(2, &"x".repeat(dime_serve::DEFAULT_MAX_FRAME_BYTES + 4096));
+        assert!(big.len() > dime_serve::DEFAULT_MAX_FRAME_BYTES);
+        link.record_committed(1, &big).expect("a record over 1 MiB must be acked");
+        link.record_committed(1, &add_record(3, "ann")).expect("the link keeps streaming");
+
+        handle.shutdown();
+        runner.join().expect("runner").expect("clean run");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// Promotion ends mirroring: a record pipelined behind the `promote`
+    /// on its connection, or sent on a link held from before, is never
+    /// acked and never reaches the promoted server's sessions — not even
+    /// as a log that a later recovery would bring back.
+    #[test]
+    fn record_after_promote_is_refused() {
+        let (dir, addr, handle, runner) = start("late");
+        let link = FollowerLink::new(addr.to_string(), Duration::from_secs(2));
+        link.record_committed(1, &open_record()).expect("open");
+        link.record_committed(1, &add_record(2, "ann, bob")).expect("add");
+
+        let mut ctl = TcpStream::connect(addr).expect("connect for promote");
+        ctl.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        write_repl_frame(&mut ctl, &ReplFrame::Promote).expect("send promote");
+        let late = ReplFrame::Record { session: 2, payload: open_record() };
+        write_repl_frame(&mut ctl, &late).expect("send a record behind the promote");
+        let serve_addr = match read_repl_frame(&mut ctl).expect("promote ack") {
+            ReplFrame::PromoteAck { addr } => addr,
+            other => panic!("expected promote_ack, got {other:?}"),
+        };
+        let mut rest = Vec::new();
+        assert_eq!(ctl.read_to_end(&mut rest).expect("closed, not timed out"), 0, "no ack");
+        assert!(link.record_committed(1, &add_record(3, "dora")).is_err(), "no ack");
+
+        let mut client = dime_serve::Client::connect(&serve_addr).expect("connect promoted");
+        let stats = client.stats(Some(1)).expect("stats of the promoted session");
+        assert_eq!(stats["entities"], 1, "only records acked before the promote may land");
+        assert!(client.stats(Some(2)).is_err(), "a session opened after the promote is unknown");
+        assert!(!dir.join("sessions").join("2").exists(), "and has no log to recover");
+
+        handle.shutdown();
+        runner.join().expect("runner").expect("clean run");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// A refused frame closes its own connection only: one that fails its
+    /// CRC, and a well-formed record the handler refuses (no `open`
+    /// before it), get no ack and their connections close at once, while
+    /// another link keeps streaming.
+    #[test]
+    fn refused_frames_close_only_their_connection() {
+        let (dir, addr, handle, runner) = start("corrupt");
+        let link = FollowerLink::new(addr.to_string(), Duration::from_secs(5));
+        link.record_committed(2, &open_record()).expect("open on the good link");
+
+        let mut corrupt = Vec::new();
+        write_repl_frame(&mut corrupt, &ReplFrame::Record { session: 1, payload: open_record() })
+            .expect("encode");
+        let last = corrupt.len() - 1;
+        corrupt[last] ^= 0xFF;
+        let mut orphan = Vec::new();
+        write_repl_frame(
+            &mut orphan,
+            &ReplFrame::Record { session: 3, payload: add_record(1, "x") },
+        )
+        .expect("encode");
+        for frame in [corrupt, orphan] {
+            let mut bad = TcpStream::connect(addr).expect("connect");
+            bad.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+            bad.write_all(&frame).expect("send the refused frame");
+            let mut rest = Vec::new();
+            assert_eq!(bad.read_to_end(&mut rest).expect("closed, not timed out"), 0, "no ack");
+        }
+
+        link.record_committed(2, &add_record(2, "ann")).expect("the good link is still acked");
+
+        handle.shutdown();
+        runner.join().expect("runner").expect("clean run");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// No idle timeout does not mean no shutdown: an idle link still held
+    /// open does not keep `run` from returning.
+    #[test]
+    fn shutdown_returns_promptly_with_an_idle_link_open() {
+        let (dir, addr, handle, runner) = start("idle");
+        let link = FollowerLink::new(addr.to_string(), Duration::from_secs(5));
+        link.record_committed(1, &open_record()).expect("open");
+
+        let started = Instant::now();
+        handle.shutdown();
+        while !runner.is_finished() {
+            assert!(started.elapsed() < Duration::from_secs(1), "run must return within 1 s");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        runner.join().expect("runner").expect("clean run");
+        drop(link);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

@@ -19,6 +19,8 @@
 //!   under `--fsync always`) succeeds, and on `promote` replays
 //!   snapshot-then-tail recovery into a full serving replica at the same
 //!   data — zero closed-session data loss, bit-identical discovery.
+//!   Like the router, it serves its socket on `dime-serve`'s one poll loop
+//!   ([`dime_serve::Admission`]), with the [`repl::ReplCodec`] wire format.
 //!
 //! The promotion invariant that makes failover safe: the follower never
 //! acks a sequence number it has not durably applied, and the primary

@@ -17,9 +17,15 @@
 //! `SessionWal::append_raw` returned — which, under `--fsync always`,
 //! means the record is fsynced on the follower. That ordering is the
 //! promotion invariant: a follower never acknowledges a sequence number
-//! it could lose.
+//! it could lose. The primary's link and the router's promote exchange
+//! do blocking IO; the follower serves its sockets on the poll loop
+//! through [`ReplCodec`].
 
-use dime_store::{crc32, decode_record, write_frame, MAX_PAYLOAD_BYTES};
+use dime_serve::session::lock;
+use dime_serve::{Codec, Reject, Split};
+use dime_store::{
+    decode_record, read_frame, write_frame, FrameRead, FRAME_HEADER_BYTES, MAX_PAYLOAD_BYTES,
+};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::Mutex;
@@ -63,25 +69,14 @@ impl ReplFrame {
     pub fn encode(&self) -> Vec<u8> {
         match self {
             ReplFrame::Record { session, payload } => {
-                let mut out = Vec::with_capacity(9 + payload.len());
-                out.push(TAG_RECORD);
-                out.extend_from_slice(&session.to_le_bytes());
-                out.extend_from_slice(payload);
-                out
+                [[TAG_RECORD].as_slice(), &session.to_le_bytes(), payload].concat()
             }
             ReplFrame::Ack { session, seq } => {
-                let mut out = Vec::with_capacity(17);
-                out.push(TAG_ACK);
-                out.extend_from_slice(&session.to_le_bytes());
-                out.extend_from_slice(&seq.to_le_bytes());
-                out
+                [[TAG_ACK].as_slice(), &session.to_le_bytes(), &seq.to_le_bytes()].concat()
             }
             ReplFrame::Promote => vec![TAG_PROMOTE],
             ReplFrame::PromoteAck { addr } => {
-                let mut out = Vec::with_capacity(1 + addr.len());
-                out.push(TAG_PROMOTE_ACK);
-                out.extend_from_slice(addr.as_bytes());
-                out
+                [[TAG_PROMOTE_ACK].as_slice(), addr.as_bytes()].concat()
             }
         }
     }
@@ -130,25 +125,78 @@ pub fn write_repl_frame(w: &mut impl Write, frame: &ReplFrame) -> io::Result<()>
 /// stream's read timeout (a timeout mid-frame is an error — the caller
 /// drops the connection, it does not resynchronize).
 pub fn read_repl_frame(r: &mut impl Read) -> io::Result<ReplFrame> {
-    // The two 4-byte reads together consume dime-store's
-    // FRAME_HEADER_BYTES-sized header.
-    let mut len_bytes = [0u8; 4];
-    let mut crc_bytes = [0u8; 4];
-    r.read_exact(&mut len_bytes)?;
-    r.read_exact(&mut crc_bytes)?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > MAX_PAYLOAD_BYTES as usize {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("replication frame of {len} bytes exceeds the payload cap"),
-        ));
+    let mut frame = vec![0u8; FRAME_HEADER_BYTES];
+    r.read_exact(&mut frame)?;
+    let len = u32_at(&frame, 0).filter(|&len| len <= MAX_PAYLOAD_BYTES).ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidData, "replication frame exceeds the payload cap")
+    })?;
+    frame.resize(FRAME_HEADER_BYTES + len as usize, 0);
+    r.read_exact(frame.get_mut(FRAME_HEADER_BYTES..).unwrap_or_default())?;
+    decode_framed(&frame)
+}
+
+/// Checks one whole `[len][crc][payload]` frame's CRC and decodes it.
+fn decode_framed(frame: &[u8]) -> io::Result<ReplFrame> {
+    match read_frame(frame) {
+        FrameRead::Ok { payload, .. } => ReplFrame::decode(payload),
+        _ => Err(io::Error::new(io::ErrorKind::InvalidData, "replication frame CRC mismatch")),
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    if crc32(&payload) != u32::from_le_bytes(crc_bytes) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "replication frame CRC mismatch"));
+}
+
+/// The follower's side of the wire as a [`Codec`] for `dime-serve`'s poll
+/// loop: a frame is whole once its header and `len` payload bytes have
+/// arrived, capped at the store's `MAX_PAYLOAD_BYTES`, and decodes as
+/// [`read_repl_frame`] does. An answer of `None` refuses: no ack, and the
+/// connection closes. A frame over the cap or failing its CRC or decode,
+/// a full queue and a panicking handler are all refused that way; the
+/// primary sees a failed round trip and redials.
+#[derive(Debug, Clone, Copy)]
+pub struct ReplCodec;
+
+impl Codec for ReplCodec {
+    type Request = ReplFrame;
+    type Response = Option<ReplFrame>;
+    type Framing = ();
+
+    fn split(&self, _: &mut (), buf: &[u8], _eof: bool) -> Split {
+        let Some(len) = u32_at(buf, 0) else { return Split::Partial };
+        if len > MAX_PAYLOAD_BYTES {
+            return Split::Corrupt;
+        }
+        let total = FRAME_HEADER_BYTES + len as usize;
+        if buf.len() < total {
+            Split::Partial
+        } else {
+            Split::Frame(total)
+        }
     }
-    ReplFrame::decode(&payload)
+
+    fn decode(&self, frame: &[u8]) -> Option<Result<ReplFrame, Option<ReplFrame>>> {
+        Some(decode_framed(frame).map_err(|_| None))
+    }
+
+    fn reject(&self, _: Reject) -> Option<ReplFrame> {
+        None
+    }
+
+    fn encode(&self, resp: &Option<ReplFrame>) -> Option<Vec<u8>> {
+        let mut out = Vec::new();
+        write_frame(&mut out, &resp.as_ref()?.encode()).ok()?;
+        Some(out)
+    }
+
+    fn is_error(&self, resp: &Option<ReplFrame>) -> bool {
+        resp.is_none()
+    }
+
+    fn is_shutdown(&self, _: &ReplFrame) -> bool {
+        false
+    }
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> Option<u32> {
+    let raw: [u8; 4] = bytes.get(at..at + 4)?.try_into().ok()?;
+    Some(u32::from_le_bytes(raw))
 }
 
 /// The primary side of a replication stream: a [`dime_store::WalTap`]
@@ -173,11 +221,6 @@ impl FollowerLink {
         Self { addr: addr.into(), timeout, conn: Mutex::new(None) }
     }
 
-    /// The follower's replication address.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
     fn stream_record(
         &self,
         conn: &mut Option<TcpStream>,
@@ -185,16 +228,16 @@ impl FollowerLink {
         seq: u64,
         payload: &[u8],
     ) -> io::Result<()> {
-        if conn.is_none() {
-            let stream = connect_with_timeout(&self.addr, self.timeout)?;
-            stream.set_nodelay(true)?;
-            stream.set_read_timeout(Some(self.timeout))?;
-            stream.set_write_timeout(Some(self.timeout))?;
-            *conn = Some(stream);
-        }
-        let stream = conn
-            .as_mut()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "follower link down"))?;
+        let stream = match conn {
+            Some(stream) => stream,
+            None => {
+                let stream = connect_with_timeout(&self.addr, self.timeout)?;
+                stream.set_nodelay(true)?;
+                stream.set_read_timeout(Some(self.timeout))?;
+                stream.set_write_timeout(Some(self.timeout))?;
+                conn.insert(stream)
+            }
+        };
         write_repl_frame(stream, &ReplFrame::Record { session, payload: payload.to_vec() })?;
         match read_repl_frame(stream)? {
             ReplFrame::Ack { session: s, seq: q } if s == session && q == seq => Ok(()),
@@ -223,7 +266,7 @@ impl dime_store::WalTap for FollowerLink {
     fn record_committed(&self, session: u64, payload: &[u8]) -> io::Result<()> {
         let (seq, _op) = decode_record(payload)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad record: {e}")))?;
-        let mut conn = self.conn.lock().unwrap_or_else(|e| e.into_inner());
+        let mut conn = lock(&self.conn);
         let sent = self.stream_record(&mut conn, session, seq, payload);
         if sent.is_err() {
             // The stream is desynchronized or dead either way; the next

@@ -8,12 +8,12 @@
 //! `dime_trace::Histogram`, over `dime_serve::metrics`' histogram codec).
 //!
 //! Admission is `dime-serve`'s own: `route_request` is the request
-//! handler [`Admission::serve`] runs, so client sockets live on one epoll
-//! thread, a full op queue sheds with the retryable `overloaded`, a
-//! panicking handler is answered `internal`, and pipelined replies come
-//! back in request order. Ops from one connection that are in flight
-//! together may reach their shards in either order, exactly as on a
-//! single server.
+//! handler [`Admission::serve`] runs over [`JsonLines`], so client
+//! sockets live on one epoll thread, a full op queue sheds with the
+//! retryable `overloaded`, a panicking handler is answered `internal`,
+//! and pipelined replies come back in request order. Ops from one
+//! connection that are in flight together may reach their shards in
+//! either order, exactly as on a single server.
 //!
 //! Routed ops run on a shared worker pool, so no shard may hold more of
 //! it than its share. Each shard has a lane of `2 × pool_per_shard`
@@ -42,17 +42,17 @@
 use crate::repl::{connect_with_timeout, read_repl_frame, write_repl_frame, ReplFrame};
 use crate::ring::{Ring, DEFAULT_VNODES};
 use dime_serve::metrics::{histogram_from_value, histogram_to_value, MICROS};
+use dime_serve::session::lock;
 use dime_serve::{
-    Admission, Client, ClientError, ErrorCode, Frame, FrameReader, Request, Response, ServeConfig,
-    DEFAULT_MAX_FRAME_BYTES,
+    Admission, Client, ClientError, ErrorCode, JsonLines, Request, Response, ServeConfig,
 };
 use dime_trace::{Histogram, HistogramSnapshot};
 use serde_json::{json, Map, Value};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Budget of one shard round trip: the dial, each read or write on a
@@ -60,12 +60,6 @@ use std::time::Duration;
 /// silent this long is answered for with `unavailable` and its connection
 /// dropped; the value is the serving side's default idle timeout.
 const SHARD_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Recovers from lock poisoning instead of propagating panics: router
-/// state (pools, the session map) stays usable if a holder panicked.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// One backend shard: its serving address and, optionally, the
 /// replication address of a warm follower to promote on failure.
@@ -202,7 +196,8 @@ impl ShardState {
             if inner.outstanding < self.pool.cap {
                 inner.outstanding += 1;
                 drop(inner);
-                return self.dial(timeout).map(|client| (generation, client)).map_err(|e| {
+                let dialed = dial(&self.current_addr(), timeout);
+                return dialed.map(|client| (generation, client)).map_err(|e| {
                     self.give_back(None);
                     Response::err(
                         ErrorCode::Unavailable,
@@ -234,15 +229,6 @@ impl ShardState {
                 .map_or_else(|e| e.into_inner().0, |(guard, _)| guard);
             inner.waiting -= 1;
         }
-    }
-
-    /// Dials the shard's current address; connect, and every later read
-    /// or write on the connection, fail after `timeout`.
-    fn dial(&self, timeout: Duration) -> io::Result<Client> {
-        let stream = connect_with_timeout(&self.current_addr(), timeout)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        Client::from_stream(stream)
     }
 
     /// Gives a checked-out connection's place back, pooling the
@@ -301,11 +287,6 @@ impl RouterHandle {
     /// Initiates graceful shutdown, equivalent to a `shutdown` request.
     pub fn shutdown(&self) {
         self.shared.admission.initiate_shutdown();
-    }
-
-    /// Whether shutdown has been initiated.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.admission.is_shutting_down()
     }
 }
 
@@ -378,9 +359,10 @@ impl Router {
             if shared.config.health.is_some() {
                 scope.spawn(|| probe_loop(shared));
             }
+            let codec = JsonLines { max_frame_bytes: shared.admission.config().max_frame_bytes };
             shared
                 .admission
-                .serve(self.listener, &dime_trace::NOOP, |req| route_request(req, shared))
+                .serve(self.listener, &dime_trace::NOOP, &codec, |req| route_request(req, shared))
         })
     }
 }
@@ -707,7 +689,9 @@ fn probe_loop(shared: &Shared) {
                 return;
             }
             let Some(fails) = consecutive_failures.get_mut(slot) else { continue };
-            if probe(&shard.current_addr(), health.connect_timeout) {
+            // Any well-formed answer to a ping, even `overloaded`, is alive.
+            let probe = dial(&shard.current_addr(), health.connect_timeout);
+            if probe.is_ok_and(|mut c| c.request(&Request::Ping).is_ok()) {
                 *fails = 0;
                 shard.healthy.store(true, Ordering::SeqCst);
                 continue;
@@ -743,23 +727,13 @@ fn probe_loop(shared: &Shared) {
     }
 }
 
-/// One health probe: connect, ping, expect any well-formed response line.
-fn probe(addr: &str, timeout: Duration) -> bool {
-    let Ok(stream) = connect_with_timeout(addr, timeout) else { return false };
-    if stream.set_read_timeout(Some(timeout)).is_err()
-        || stream.set_write_timeout(Some(timeout)).is_err()
-    {
-        return false;
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return false,
-    };
-    if writer.write_all(b"{\"op\":\"ping\"}\n").is_err() || writer.flush().is_err() {
-        return false;
-    }
-    let mut reader = FrameReader::new(io::BufReader::new(stream), DEFAULT_MAX_FRAME_BYTES);
-    matches!(reader.read_frame(), Ok(Frame::Line(_)))
+/// Dials `addr` as a client whose connect, and every later read or write
+/// on the connection, fail after `timeout`.
+fn dial(addr: &str, timeout: Duration) -> io::Result<Client> {
+    let stream = connect_with_timeout(addr, timeout)?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
+    Client::from_stream(stream)
 }
 
 /// The promotion exchange: `promote` out, `promote_ack` (with the new
@@ -783,9 +757,11 @@ mod tests {
     use super::*;
     use crate::follower::{Follower, FollowerConfig};
     use crate::repl::FollowerLink;
+    use dime_serve::DEFAULT_MAX_FRAME_BYTES;
     use dime_serve::{ServeConfig, Server, WalTapHandle};
     use dime_store::{FsyncPolicy, StoreConfig};
     use serde_json::json;
+    use std::io::Write;
     use std::path::PathBuf;
     use std::sync::atomic::AtomicU64 as TestCounter;
 

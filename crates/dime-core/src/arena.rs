@@ -8,8 +8,7 @@
 //! Verification then touches only `u32` ids and packed slices: no `String`
 //! pointer chasing, no per-pair char decoding, no hash lookups.
 //!
-//! Every kernel is *bit-identical* to the scalar [`Rule::eval`] /
-//! [`Rule::cost`] path:
+//! Every kernel is *bit-identical* to the scalar [`Rule::eval`] path:
 //!
 //! * set similarities produce the same intersection integer (merge, gallop
 //!   and bitset kernels, and the negative phase's dense counters over

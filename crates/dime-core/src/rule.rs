@@ -282,33 +282,6 @@ impl Predicate {
             _ => self.holds(self.similarity(group, a, b), polarity),
         }
     }
-
-    /// The verification cost estimate of the paper (Section IV-C): the
-    /// dominant term of computing this predicate on the pair.
-    pub fn cost(&self, group: &Group, a: &Entity, b: &Entity) -> f64 {
-        let va = a.value(self.attr);
-        let vb = b.value(self.attr);
-        match self.func {
-            SimilarityFn::Overlap
-            | SimilarityFn::Jaccard
-            | SimilarityFn::Dice
-            | SimilarityFn::Cosine => (va.tokens.len() + vb.tokens.len()) as f64,
-            SimilarityFn::EditSimilarity | SimilarityFn::EditDistance => {
-                // The DP runs over *chars*, so the cost model must too;
-                // `text.len()` (bytes) over-prices non-ASCII values. Char
-                // counts are cached at group-load time.
-                let min = va.char_len.min(vb.char_len) as f64;
-                (self.threshold.max(1.0)) * min
-            }
-            SimilarityFn::Ontology => {
-                let ont = group.ontology(self.attr);
-                let d = |n: Option<dime_ontology::NodeId>| {
-                    n.and_then(|n| ont.map(|o| o.depth(n))).unwrap_or(1) as f64
-                };
-                d(va.node) + d(vb.node)
-            }
-        }
-    }
 }
 
 impl fmt::Display for Predicate {
@@ -343,11 +316,6 @@ impl Rule {
     /// "don't know".
     pub fn eval(&self, group: &Group, a: &Entity, b: &Entity) -> bool {
         self.predicates.iter().all(|p| p.eval(group, a, b, self.polarity))
-    }
-
-    /// Total verification cost estimate for the pair.
-    pub fn cost(&self, group: &Group, a: &Entity, b: &Entity) -> f64 {
-        self.predicates.iter().map(|p| p.cost(group, a, b)).sum()
     }
 
     /// Renders the rule in the textual DSL accepted by
@@ -546,14 +514,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn cost_estimates_are_positive() {
-        let g = figure1_group();
-        let (pos, _) = paper_rules();
-        let c = pos[1].cost(&g, g.entity(0), g.entity(1));
-        assert!(c > 0.0);
-    }
-
-    #[test]
     fn edit_checks_solve_exact_cutoffs() {
         assert_eq!(edit_distance_check(2.0, Polarity::Positive), EditCheck::AtMost(2));
         assert_eq!(edit_distance_check(2.5, Polarity::Positive), EditCheck::AtMost(2));
@@ -621,26 +581,6 @@ pub(crate) mod tests {
         let p = Predicate::new(0, SimilarityFn::EditSimilarity, 0.999);
         assert!(!p.eval(&g, g.entity(0), g.entity(1), Polarity::Positive));
         assert!(p.eval(&g, g.entity(0), g.entity(1), Polarity::Negative));
-    }
-
-    #[test]
-    fn edit_cost_uses_char_counts() {
-        // "ööööö" is 5 chars but 10 bytes. A byte-based cost model prices
-        // the unicode pair above the 6-char ASCII pair; the char-based
-        // model must price it below, matching the work the DP actually does.
-        let schema = Schema::new([("Name", TokenizerKind::Words)]);
-        let mut gb = GroupBuilder::new(schema);
-        gb.add_entity(&["ööööö"]);
-        gb.add_entity(&["üüüüü"]);
-        gb.add_entity(&["abcdef"]);
-        gb.add_entity(&["uvwxyz"]);
-        let g = gb.build();
-        let p = Predicate::new(0, SimilarityFn::EditSimilarity, 0.8);
-        let unicode_cost = p.cost(&g, g.entity(0), g.entity(1));
-        let ascii_cost = p.cost(&g, g.entity(2), g.entity(3));
-        assert_eq!(unicode_cost, 5.0); // θ.max(1) · min char count
-        assert_eq!(ascii_cost, 6.0);
-        assert!(unicode_cost < ascii_cost, "verification order must follow char counts");
     }
 
     #[test]

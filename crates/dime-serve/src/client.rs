@@ -142,10 +142,7 @@ impl Client {
         let peer = self
             .peer
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "peer address unknown"))?;
-        let stream = TcpStream::connect(peer)?;
-        stream.set_nodelay(true)?;
-        self.writer = stream.try_clone()?;
-        self.reader = FrameReader::new(BufReader::new(stream), DEFAULT_MAX_FRAME_BYTES);
+        *self = Self { retry: self.retry, ..Self::from_stream(TcpStream::connect(peer)?)? };
         Ok(())
     }
 

@@ -15,8 +15,9 @@
 //!   queue, with per-request panic isolation, admission limits,
 //!   backpressure (the retryable `overloaded` error), idle timeouts,
 //!   in-order pipelined replies, and graceful drain-on-shutdown. It is
-//!   parameterised by the request handler, so `dime-cluster`'s router
-//!   runs on it too;
+//!   parameterised by the wire format ([`Codec`]; [`JsonLines`] here)
+//!   and the request handler, so `dime-cluster`'s router and follower
+//!   run on it too;
 //! * [`Server`] — [`Admission::serve`] with the session handler over a
 //!   sharded [`SessionStore`](session::SessionStore); every request,
 //!   `add_entities` included, is one op through one handler;
@@ -72,9 +73,9 @@ mod server;
 pub mod session;
 
 pub use client::{Client, ClientError};
-pub use pool::Admission;
+pub use pool::{Admission, Codec, Reject, Split};
 pub use protocol::{
-    encode_frame, polarity_str, ErrorCode, Frame, FrameReader, ProtocolError, Request, Response,
-    RuleAction, DEFAULT_MAX_FRAME_BYTES,
+    encode_frame, polarity_str, ErrorCode, Frame, FrameReader, JsonLines, ProtocolError, Request,
+    Response, RuleAction, DEFAULT_MAX_FRAME_BYTES,
 };
 pub use server::{ServeConfig, Server, ServerHandle, WalTapHandle};

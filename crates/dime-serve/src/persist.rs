@@ -57,11 +57,6 @@ impl SessionPersist {
         Self::new(rec.wal, rec.state, snapshot_every, sink)
     }
 
-    /// Whether a persistence failure has detached this mirror.
-    pub fn is_broken(&self) -> bool {
-        self.broken
-    }
-
     /// Logs a run of added rows (string values in schema order) as one
     /// WAL batch: one `AddEntity` record per row, in order, but one fsync
     /// decision and one checkpoint check for the whole run.

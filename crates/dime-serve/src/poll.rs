@@ -5,21 +5,24 @@
 //! Division of labor (see `DESIGN.md` §10):
 //!
 //! * **this module** owns the listener and all connections, does
-//!   non-blocking framed reads and writes with per-connection buffers,
-//!   decodes frames into [`Request`]s, and *never touches the engine*;
+//!   non-blocking reads and writes with per-connection buffers, has the
+//!   front end's [`Codec`] split and decode the read bytes into requests,
+//!   and *never touches the engine*;
 //! * decoded ops flow through a **bounded** queue into the worker pool
 //!   (`pool.rs`, which runs the front end's request handler); a full
-//!   queue is answered inline with the retryable `overloaded` error —
-//!   backpressure instead of unbounded buffering;
+//!   queue is answered inline with the codec's rejection (JSON lines:
+//!   the retryable `overloaded` error) — backpressure instead of
+//!   unbounded buffering;
 //! * completions flow back over an unbounded channel paired with a
 //!   [`Waker`]; per-connection response *order* is preserved by a
 //!   sequence-number reorder buffer, so pipelined requests still get
 //!   pipelined responses even though the pool completes them out of
 //!   order.
 //!
-//! The loop knows nothing of sessions or shards: its limits, shutdown
-//! flag and counters come from an [`Admission`], so a server and a
-//! cluster router run the same code.
+//! The loop knows nothing of sessions, shards or replication: its limits,
+//! shutdown flag and counters come from an [`Admission`] and its wire
+//! format from a [`Codec`], so a server, a cluster router and a follower
+//! run the same code.
 //!
 //! The `dime-check` rule `blocking-reaches-poll-loop` treats every
 //! function in this file as an entry point and walks the workspace call
@@ -30,9 +33,8 @@
 //! the single audited unsafe boundary of the crate.
 
 use crate::metrics::GlobalMetrics;
-use crate::pool::{Admission, Completion, OpJob};
-use crate::protocol::{encode_frame, ErrorCode, Frame, FrameReader, Response};
-use crate::server::decode_line;
+use crate::pool::{Admission, Codec, Completion, OpJob, Reject, Split};
+use crate::ServeConfig;
 use dime_trace::{span, TraceSink};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
@@ -282,19 +284,6 @@ impl Waker {
     }
 }
 
-/// `Read` over a shared [`TcpStream`] without `try_clone` — a dup()ed fd
-/// per connection would double the fd budget, and 10k+ held sessions is
-/// exactly the point of this layer. `&TcpStream` implements `Read`, so
-/// reads and writes go through one fd from one thread.
-struct ArcRead(Arc<TcpStream>);
-
-impl Read for ArcRead {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        // dime-check: allow(blocking-reaches-poll-loop) — the stream is set_nonblocking(true) at accept; returns WouldBlock instead of blocking
-        (&*self.0).read(buf)
-    }
-}
-
 /// Listener token.
 const TOKEN_LISTENER: u64 = 0;
 /// Waker token.
@@ -302,84 +291,87 @@ pub(crate) const TOKEN_WAKER: u64 = 1;
 /// First connection token.
 const TOKEN_FIRST_CONN: u64 = 2;
 
-/// Per-connection read buffer capacity. Deliberately small: with 10k+
-/// held connections the per-connection buffers dominate the server's
-/// memory, and the frame reader accumulates larger frames across fills.
+/// Bytes per read syscall. Deliberately small: with 10k+ held
+/// connections the per-connection buffers dominate the server's memory,
+/// and a connection's unread bytes accumulate larger frames across reads.
 const READ_BUF_BYTES: usize = 2048;
 
-/// One admitted connection: the shared stream (one fd), the framing
-/// reader over it, the response reorder buffer, and the write queue.
-struct Conn {
-    stream: Arc<TcpStream>,
-    reader: FrameReader<io::BufReader<ArcRead>>,
-    /// Next request sequence to assign (one per non-blank frame).
+/// One admitted connection: the stream, its unread bytes and the codec's
+/// framing state over them, the response reorder buffer, and the write
+/// queue.
+struct Conn<F> {
+    stream: TcpStream,
+    /// Bytes read and not yet split into frames; released when empty.
+    inbuf: Vec<u8>,
+    framing: F,
+    /// Next request sequence to assign (one per answered frame).
     next_seq: u64,
     /// Next response sequence owed to the peer.
     next_write: u64,
-    /// Completions that arrived ahead of `next_write`, by sequence.
-    pending: BTreeMap<u64, Vec<u8>>,
+    /// Completions that arrived ahead of `next_write`, by sequence; a
+    /// `None` refuses the request and ends the connection.
+    pending: BTreeMap<u64, Option<Vec<u8>>>,
     /// Bytes owed to the peer, already in order. `outpos` marks how much
     /// of it has been written.
     outbuf: Vec<u8>,
     outpos: usize,
-    /// Ops handed to the verify pool and not yet completed.
-    inflight: u64,
     /// Whether `EPOLLOUT` is currently part of the interest mask.
     want_write: bool,
     /// Peer finished sending (EOF or `EPOLLRDHUP` drained).
     read_closed: bool,
-    /// Hard failure: drop the connection without waiting for inflight.
+    /// Hard failure: drop the connection without waiting for answers.
     dead: bool,
     /// Last read/completion/write progress, for idle/drain/write-stall
     /// sweeps.
     last_progress: Instant,
 }
 
-impl Conn {
-    fn new(stream: Arc<TcpStream>, max_frame_bytes: usize, now: Instant) -> Self {
-        let reader = FrameReader::new(
-            io::BufReader::with_capacity(READ_BUF_BYTES, ArcRead(Arc::clone(&stream))),
-            max_frame_bytes,
-        );
+impl<F: Default> Conn<F> {
+    fn new(stream: TcpStream, now: Instant) -> Self {
         Self {
             stream,
-            reader,
+            inbuf: Vec::new(),
+            framing: F::default(),
             next_seq: 0,
             next_write: 0,
             pending: BTreeMap::new(),
             outbuf: Vec::new(),
             outpos: 0,
-            inflight: 0,
             want_write: false,
             read_closed: false,
             dead: false,
             last_progress: now,
         }
     }
+}
 
-    /// Whether every admitted request has been answered and flushed.
+impl<F> Conn<F> {
+    /// Whether every answer owed has been flushed: each sequence number
+    /// handed out, to an op or an inline answer, has been written.
     fn drained(&self) -> bool {
-        self.inflight == 0 && self.pending.is_empty() && self.outpos >= self.outbuf.len()
+        self.next_write == self.next_seq && self.outpos >= self.outbuf.len()
     }
 }
 
 /// Runs the admission loop until shutdown completes its drain: every
 /// connection either answered-and-closed or timed out of its grace
 /// window. Dropping `ops` on return is what releases the worker pool.
-pub(crate) fn admission_loop(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn admission_loop<C: Codec>(
     mut poller: Poller,
     waker: &Waker,
     listener: TcpListener,
     admission: &Admission,
+    codec: &C,
     sink: &dyn TraceSink,
-    ops: mpsc::SyncSender<OpJob>,
+    ops: mpsc::SyncSender<OpJob<C::Request>>,
     done: &mpsc::Receiver<Completion>,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     poller.add(listener.as_raw_fd(), TOKEN_LISTENER, sys::EPOLLIN)?;
 
     let poll_interval = admission.config().poll_interval;
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
+    let mut conns: HashMap<u64, Conn<C::Framing>> = HashMap::new();
     let mut next_token = TOKEN_FIRST_CONN;
     let mut events: Vec<Event> = Vec::new();
     let mut draining = false;
@@ -395,18 +387,10 @@ pub(crate) fn admission_loop(
             let _admission = span(sink, "admission");
             for ev in events.iter().copied() {
                 match ev.token {
-                    TOKEN_LISTENER => {
-                        if !draining {
-                            accept_all(
-                                &poller,
-                                &listener,
-                                admission,
-                                &mut conns,
-                                &mut next_token,
-                                now,
-                            );
-                        }
+                    TOKEN_LISTENER if !draining => {
+                        accept_all(&poller, &listener, admission, &mut conns, &mut next_token, now)
                     }
+                    TOKEN_LISTENER => {}
                     TOKEN_WAKER => waker.drain(),
                     token => {
                         let Some(conn) = conns.get_mut(&token) else { continue };
@@ -415,11 +399,11 @@ pub(crate) fn admission_loop(
                             continue;
                         }
                         if ev.readable || ev.read_closed {
-                            read_conn(token, conn, admission, sink, &ops, now);
-                            // Inline responses (decode errors, shed
-                            // `overloaded` ops) land in the reorder buffer
-                            // with no verify-pool completion to flush them;
-                            // flush here or they strand behind a quiet queue.
+                            read_conn(token, conn, admission, codec, sink, &ops, now);
+                            // Inline answers (decode errors, shed ops,
+                            // refusals) land in the reorder buffer with no
+                            // worker completion to flush them; flush here
+                            // or they strand behind a quiet queue.
                             flush_ready(&poller, token, conn, now);
                         }
                         if ev.writable {
@@ -437,7 +421,6 @@ pub(crate) fn admission_loop(
                 admission.initiate_shutdown();
             }
             if let Some(conn) = conns.get_mut(&c.conn) {
-                conn.inflight = conn.inflight.saturating_sub(1);
                 conn.pending.insert(c.seq, c.frame);
                 flush_ready(&poller, c.conn, conn, now);
             }
@@ -451,22 +434,13 @@ pub(crate) fn admission_loop(
             poller.delete(listener.as_raw_fd());
         }
 
-        if now.duration_since(last_sweep) >= poll_interval {
+        // Dead or EOF-drained connections leave at once; the patience
+        // checks run once per poll interval.
+        let full = now.duration_since(last_sweep) >= poll_interval;
+        if full {
             last_sweep = now;
-            sweep(
-                &poller,
-                &mut conns,
-                admission.config().idle_timeout,
-                admission.config().write_timeout,
-                poll_interval,
-                draining,
-                now,
-            );
-        } else {
-            // Dead or EOF-drained connections still leave promptly
-            // between sweeps.
-            reap(&poller, &mut conns);
         }
+        sweep(&poller, &mut conns, full.then_some(admission.config()), draining, now);
 
         if draining && conns.is_empty() {
             return Ok(());
@@ -476,11 +450,11 @@ pub(crate) fn admission_loop(
 
 /// Accepts every pending connection (the listener is level-triggered and
 /// non-blocking, so this drains the backlog without ever parking).
-fn accept_all(
+fn accept_all<F: Default>(
     poller: &Poller,
     listener: &TcpListener,
     admission: &Admission,
-    conns: &mut HashMap<u64, Conn>,
+    conns: &mut HashMap<u64, Conn<F>>,
     next_token: &mut u64,
     now: Instant,
 ) {
@@ -498,10 +472,7 @@ fn accept_all(
                     continue;
                 }
                 GlobalMetrics::bump(&admission.metrics.connections);
-                conns.insert(
-                    token,
-                    Conn::new(Arc::new(stream), admission.config().max_frame_bytes, now),
-                );
+                conns.insert(token, Conn::new(stream, now));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -510,81 +481,66 @@ fn accept_all(
     }
 }
 
-/// Reads every decodable frame off one connection: blank lines are
-/// skipped, malformed or oversized frames are answered inline, decoded
-/// ops are handed to the worker pool — or answered inline with the
-/// retryable `overloaded` error when the bounded queue is full.
-fn read_conn(
+/// Reads everything the connection has sent and has the codec split it:
+/// skipped bytes are dropped, oversized and undecodable frames are
+/// answered inline, and decoded requests go to [`admit`]. Unframeable
+/// bytes end the reading and queue a refusal behind the answers already
+/// owed.
+fn read_conn<C: Codec>(
     token: u64,
-    conn: &mut Conn,
+    conn: &mut Conn<C::Framing>,
     admission: &Admission,
+    codec: &C,
     sink: &dyn TraceSink,
-    ops: &mpsc::SyncSender<OpJob>,
+    ops: &mpsc::SyncSender<OpJob<C::Request>>,
     now: Instant,
 ) {
+    let mut chunk = [0u8; READ_BUF_BYTES];
     loop {
-        match conn.reader.read_frame() {
-            Ok(Frame::Eof) => {
-                conn.read_closed = true;
-                return;
-            }
-            Ok(Frame::Oversized) => {
-                conn.last_progress = now;
-                GlobalMetrics::bump(&admission.metrics.oversized_frames);
+        loop {
+            let (n, answer) = match codec.split(&mut conn.framing, &conn.inbuf, conn.read_closed) {
+                Split::Partial => break,
+                Split::Corrupt => {
+                    conn.read_closed = true;
+                    conn.inbuf = Vec::new();
+                    conn.pending.insert(conn.next_seq, None);
+                    conn.next_seq += 1;
+                    return;
+                }
+                Split::Skip(n) => (n, None),
+                Split::Oversized(n) => {
+                    GlobalMetrics::bump(&admission.metrics.oversized_frames);
+                    (n, Some(codec.reject(Reject::Oversized)))
+                }
+                Split::Frame(n) => match codec.decode(conn.inbuf.get(..n).unwrap_or(&[])) {
+                    Some(Ok(req)) => {
+                        let shed = !admit(token, conn, admission, sink, ops, req);
+                        (n, shed.then(|| codec.reject(Reject::Overloaded)))
+                    }
+                    Some(Err(resp)) => (n, Some(resp)),
+                    None => (n, None),
+                },
+            };
+            conn.inbuf.drain(..n.min(conn.inbuf.len()));
+            conn.last_progress = now;
+            if let Some(resp) = answer {
                 GlobalMetrics::bump(&admission.metrics.requests);
                 GlobalMetrics::bump(&admission.metrics.errors);
-                let resp = Response::err(
-                    ErrorCode::FrameTooLarge,
-                    format!("frame exceeds {} bytes", admission.config().max_frame_bytes),
-                );
-                let seq = conn.next_seq;
+                conn.pending.insert(conn.next_seq, codec.encode(&resp));
                 conn.next_seq += 1;
-                conn.pending.insert(seq, encode_frame(&resp.to_value()).into_bytes());
             }
-            Ok(Frame::Line(line)) => {
-                conn.last_progress = now;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                match decode_line(&line) {
-                    Ok(req) => {
-                        // Count the op before handing it over: a worker may
-                        // pop (and decrement) the instant try_send returns,
-                        // so incrementing afterwards could race the counter
-                        // below zero.
-                        // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
-                        let depth = admission.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-                        match ops.try_send(OpJob { conn: token, seq, req }) {
-                            Ok(()) => {
-                                conn.inflight += 1;
-                                if sink.enabled() {
-                                    sink.latency("verify_queue_depth", depth);
-                                }
-                            }
-                            Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
-                                // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
-                                admission.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                                GlobalMetrics::bump(&admission.metrics.requests);
-                                GlobalMetrics::bump(&admission.metrics.errors);
-                                GlobalMetrics::bump(&admission.metrics.overloaded);
-                                let resp = Response::err(
-                                    ErrorCode::Overloaded,
-                                    "verify queue is full; retry after backoff",
-                                );
-                                conn.pending
-                                    .insert(seq, encode_frame(&resp.to_value()).into_bytes());
-                            }
-                        }
-                    }
-                    Err(resp) => {
-                        GlobalMetrics::bump(&admission.metrics.requests);
-                        GlobalMetrics::bump(&admission.metrics.errors);
-                        conn.pending.insert(seq, encode_frame(&resp.to_value()).into_bytes());
-                    }
-                }
-            }
+        }
+        if conn.inbuf.is_empty() && conn.inbuf.capacity() > READ_BUF_BYTES {
+            conn.inbuf = Vec::new();
+        }
+        if conn.read_closed {
+            return;
+        }
+        // dime-check: allow(blocking-reaches-poll-loop) — the stream is set_nonblocking(true) at accept; returns WouldBlock instead of blocking
+        match (&conn.stream).read(&mut chunk) {
+            Ok(0) => conn.read_closed = true,
+            Ok(n) => conn.inbuf.extend_from_slice(chunk.get(..n).unwrap_or(&[])),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
@@ -598,23 +554,62 @@ fn read_conn(
     }
 }
 
+/// Hands a decoded request to the worker pool; `false` when the bounded
+/// queue is full and the request must be shed.
+fn admit<R>(
+    token: u64,
+    conn: &mut Conn<impl Sized>,
+    admission: &Admission,
+    sink: &dyn TraceSink,
+    ops: &mpsc::SyncSender<OpJob<R>>,
+    req: R,
+) -> bool {
+    // Count the op before handing it over: a worker may pop (and
+    // decrement) the instant try_send returns, so incrementing afterwards
+    // could race the counter below zero.
+    // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
+    let depth = admission.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+    match ops.try_send(OpJob { conn: token, seq: conn.next_seq, req }) {
+        Ok(()) => {
+            conn.next_seq += 1;
+            if sink.enabled() {
+                sink.latency("verify_queue_depth", depth);
+            }
+            true
+        }
+        Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
+            // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
+            admission.queue_depth.fetch_sub(1, Ordering::Relaxed);
+            GlobalMetrics::bump(&admission.metrics.overloaded);
+            false
+        }
+    }
+}
+
 /// Moves in-order completions from the reorder buffer into the write
-/// queue, then writes as much as the socket accepts.
-fn flush_ready(poller: &Poller, token: u64, conn: &mut Conn, now: Instant) {
+/// queue, then writes as much as the socket accepts. An in-order refusal
+/// ends the connection after that write.
+fn flush_ready<F>(poller: &Poller, token: u64, conn: &mut Conn<F>, now: Instant) {
+    let mut refused = false;
     while let Some(frame) = conn.pending.remove(&conn.next_write) {
         conn.next_write += 1;
+        let Some(frame) = frame else {
+            refused = true;
+            break;
+        };
         conn.outbuf.extend_from_slice(&frame);
     }
     write_conn(poller, token, conn, now);
+    conn.dead |= refused;
 }
 
 /// Non-blocking write of the owed bytes; registers `EPOLLOUT` interest
 /// exactly while a partial write leaves the buffer non-empty.
-fn write_conn(poller: &Poller, token: u64, conn: &mut Conn, now: Instant) {
+fn write_conn<F>(poller: &Poller, token: u64, conn: &mut Conn<F>, now: Instant) {
     while conn.outpos < conn.outbuf.len() {
         let chunk = conn.outbuf.get(conn.outpos..).unwrap_or(&[]);
         // dime-check: allow(blocking-reaches-poll-loop) — the stream is set_nonblocking(true) at accept; returns WouldBlock instead of blocking
-        match (&*conn.stream).write(chunk) {
+        match (&conn.stream).write(chunk) {
             Ok(0) => {
                 conn.dead = true;
                 return;
@@ -644,41 +639,26 @@ fn write_conn(poller: &Poller, token: u64, conn: &mut Conn, now: Instant) {
     }
 }
 
-/// Closes connections that are done or out of patience: dead ones, EOF'd
-/// ones with nothing left to answer, idle ones past the idle timeout,
-/// write-stalled ones past the write timeout, and — while draining —
-/// quiet ones past the two-poll-interval drain grace.
-fn sweep(
+/// Closes connections that are done: dead ones and EOF'd ones with
+/// nothing left to answer. A full sweep (`config` given) also closes
+/// those out of patience: write-stalled ones past the write timeout, idle
+/// ones past the idle timeout, and — while draining — quiet ones past the
+/// two-poll-interval drain grace.
+fn sweep<F>(
     poller: &Poller,
-    conns: &mut HashMap<u64, Conn>,
-    idle_timeout: Duration,
-    write_timeout: Duration,
-    poll_interval: Duration,
+    conns: &mut HashMap<u64, Conn<F>>,
+    config: Option<&ServeConfig>,
     draining: bool,
     now: Instant,
 ) {
     conns.retain(|_, conn| {
         let quiet = now.duration_since(conn.last_progress);
-        let stalled = conn.outpos < conn.outbuf.len() && quiet >= write_timeout;
-        let expired = if draining {
-            conn.drained() && quiet >= poll_interval * 2
-        } else {
-            conn.drained() && quiet >= idle_timeout
-        };
-        let finished = conn.read_closed && conn.drained();
-        if conn.dead || stalled || expired || finished {
-            poller.delete(conn.stream.as_raw_fd());
-            return false;
-        }
-        true
-    });
-}
-
-/// The between-sweeps fast path of [`sweep`]: only dead and
-/// finished-and-drained connections leave.
-fn reap(poller: &Poller, conns: &mut HashMap<u64, Conn>) {
-    conns.retain(|_, conn| {
-        if conn.dead || (conn.read_closed && conn.drained()) {
+        let impatient = config.is_some_and(|c| {
+            let grace = if draining { c.poll_interval * 2 } else { c.idle_timeout };
+            (conn.outpos < conn.outbuf.len() && quiet >= c.write_timeout)
+                || (conn.drained() && quiet >= grace)
+        });
+        if conn.dead || (conn.read_closed && conn.drained()) || impatient {
             poller.delete(conn.stream.as_raw_fd());
             return false;
         }

@@ -1,20 +1,18 @@
-//! The one serving path of every front end of the protocol: the epoll
-//! admission loop (`poll.rs`) in front of a worker pool, parameterised by
-//! the request handler. [`Server`](crate::Server) runs it with the
-//! session handler; `dime-cluster`'s router runs it with its routing
-//! handler. See `DESIGN.md` §10.
+//! The one serving path of every listening socket: the epoll admission
+//! loop (`poll.rs`) in front of a worker pool, parameterised by the wire
+//! format ([`Codec`]) and the request handler. The server and
+//! `dime-cluster`'s router run it with [`JsonLines`](crate::JsonLines),
+//! the follower with the replication codec. See `DESIGN.md` §10.
 //!
 //! Ops flow admission → pool over a *bounded* queue (a full queue is
-//! answered inline with the retryable `overloaded`); completions flow
-//! back over an unbounded channel paired with the poll loop's waker and
-//! are written out in per-connection request order. A panicking handler
-//! is caught and answered `internal`. The handler runs here, on a worker
-//! thread, so it may block; nothing in this module runs on the poll
-//! thread.
+//! answered inline with the codec's rejection); completions flow back
+//! over an unbounded channel paired with the poll loop's waker and are
+//! written out in per-connection request order. A panicking handler is
+//! caught and rejected too. The handler runs on a worker thread, so it
+//! may block; of this module only the codec runs on the poll thread.
 
 use crate::metrics::{AdmissionMetrics, GlobalMetrics};
 use crate::poll::{admission_loop, Poller, Waker, TOKEN_WAKER};
-use crate::protocol::{encode_frame, ErrorCode, Request, Response};
 use crate::session::lock;
 use crate::ServeConfig;
 use dime_trace::TraceSink;
@@ -86,25 +84,28 @@ impl Admission {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Serves `listener` until shutdown completes its drain, answering
-    /// every decoded request through `handler` on the worker pool.
+    /// Serves `listener` until shutdown completes its drain, framing
+    /// every connection's bytes with `codec` and answering every decoded
+    /// request through `handler` on the worker pool.
     ///
     /// The calling thread runs the admission poll loop; the scope's
     /// spawned threads are the pool. The admission loop returning drops
     /// the op sender, which drains and releases the pool. `sink` receives
     /// the loop's `admission` spans and `verify_queue_depth` samples.
-    pub fn serve<H>(
+    pub fn serve<C, H>(
         &self,
         listener: TcpListener,
         sink: &dyn TraceSink,
+        codec: &C,
         handler: H,
     ) -> io::Result<()>
     where
-        H: Fn(&Request) -> Response + Sync,
+        C: Codec,
+        H: Fn(&C::Request) -> C::Response + Sync,
     {
         let poller = Poller::new()?;
         let waker = poller.waker(TOKEN_WAKER)?;
-        let (ops_tx, ops_rx) = mpsc::sync_channel::<OpJob>(self.config.queue_capacity);
+        let (ops_tx, ops_rx) = mpsc::sync_channel::<OpJob<C::Request>>(self.config.queue_capacity);
         let (done_tx, done_rx) = mpsc::channel::<Completion>();
         let ops_rx = Mutex::new(ops_rx);
         let (ops_rx, handler) = (&ops_rx, &handler);
@@ -112,24 +113,79 @@ impl Admission {
             for _ in 0..self.config.workers {
                 let done_tx = done_tx.clone();
                 let waker = waker.clone();
-                scope.spawn(move || worker(ops_rx, &done_tx, &waker, self, handler));
+                scope.spawn(move || worker(ops_rx, &done_tx, &waker, self, codec, handler));
             }
             drop(done_tx);
-            admission_loop(poller, &waker, listener, self, sink, ops_tx, &done_rx)
+            admission_loop(poller, &waker, listener, self, codec, sink, ops_tx, &done_rx)
         })
     }
+}
+
+/// A wire format [`Admission::serve`] speaks. The poll loop owns each
+/// connection's unread bytes; the codec says where a frame ends, what it
+/// asks, and how an answer goes out. It runs on the poll thread, so none
+/// of it may block.
+pub trait Codec: Sync {
+    /// A decoded request, as the handler sees it.
+    type Request: Send;
+    /// An answer, from the handler or from the front end itself.
+    type Response;
+    /// One connection's framing state between reads.
+    type Framing: Default;
+
+    /// Finds the next frame at the front of `buf`, a connection's unread
+    /// bytes; `eof` says the peer will send no more.
+    fn split(&self, framing: &mut Self::Framing, buf: &[u8], eof: bool) -> Split;
+    /// Decodes the bytes of one [`Split::Frame`]: `None` if it asks
+    /// nothing, and an undecodable frame is answered inline with the `Err`.
+    fn decode(&self, frame: &[u8]) -> Option<Result<Self::Request, Self::Response>>;
+    /// The answer to a request the front end turns away itself.
+    fn reject(&self, why: Reject) -> Self::Response;
+    /// Encodes an answer, or refuses with `None`: the connection closes
+    /// once the answers ahead of it have had their write.
+    fn encode(&self, resp: &Self::Response) -> Option<Vec<u8>>;
+    /// Whether `resp` counts in the `errors` counter.
+    fn is_error(&self, resp: &Self::Response) -> bool;
+    /// Whether `req` asks the front end to shut down once answered.
+    fn is_shutdown(&self, req: &Self::Request) -> bool;
+}
+
+/// Where [`Codec::split`] found the next frame's end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Split {
+    /// No whole frame yet: read more.
+    Partial,
+    /// The first `n` bytes are one frame.
+    Frame(usize),
+    /// The first `n` bytes are dropped unanswered.
+    Skip(usize),
+    /// The first `n` bytes end a frame over the size cap.
+    Oversized(usize),
+    /// The bytes cannot be framed: stop reading and refuse, in order.
+    Corrupt,
+}
+
+/// Why the front end answers a request without the handler's help.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reject {
+    /// The frame was over the size cap.
+    Oversized,
+    /// The bounded op queue was full.
+    Overloaded,
+    /// The handler panicked.
+    Panicked,
 }
 
 /// One decoded request in flight from the admission layer to the pool:
 /// which connection asked, and where in that connection's response order
 /// the answer belongs.
-pub(crate) struct OpJob {
+pub(crate) struct OpJob<R> {
     /// Admission-layer connection token.
     pub conn: u64,
     /// Position in the connection's response order.
     pub seq: u64,
     /// The decoded request.
-    pub req: Request,
+    pub req: R,
 }
 
 /// One finished response on its way back to the admission layer.
@@ -138,8 +194,8 @@ pub(crate) struct Completion {
     pub conn: u64,
     /// Position in that connection's response order.
     pub seq: u64,
-    /// The encoded response frame, ready to write.
-    pub frame: Vec<u8>,
+    /// The encoded response frame, ready to write; `None` refuses.
+    pub frame: Option<Vec<u8>>,
     /// Whether this op asked the front end to shut down.
     pub shutdown: bool,
 }
@@ -149,27 +205,29 @@ pub(crate) struct Completion {
 /// it, and ships the encoded response back. Holding the receiver lock
 /// across `recv` is deliberate: exactly one idle worker blocks on the
 /// channel.
-fn worker<H>(
-    rx: &Mutex<mpsc::Receiver<OpJob>>,
+fn worker<C, H>(
+    rx: &Mutex<mpsc::Receiver<OpJob<C::Request>>>,
     done: &mpsc::Sender<Completion>,
     waker: &Waker,
     admission: &Admission,
+    codec: &C,
     handler: &H,
 ) where
-    H: Fn(&Request) -> Response + Sync,
+    C: Codec,
+    H: Fn(&C::Request) -> C::Response + Sync,
 {
     loop {
         let Ok(OpJob { conn, seq, req }) = lock(rx).recv() else { return };
         // dime-check: allow(atomic-ordering) — statistics counter; readers tolerate stale values
         admission.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let shutdown = matches!(req, Request::Shutdown);
+        let shutdown = codec.is_shutdown(&req);
         let resp = catch_unwind(AssertUnwindSafe(|| handler(&req)))
-            .unwrap_or_else(|_| Response::err(ErrorCode::Internal, "request handler panicked"));
+            .unwrap_or_else(|_| codec.reject(Reject::Panicked));
         GlobalMetrics::bump(&admission.metrics.requests);
-        if !resp.is_ok() {
+        if codec.is_error(&resp) {
             GlobalMetrics::bump(&admission.metrics.errors);
         }
-        let frame = encode_frame(&resp.to_value()).into_bytes();
+        let frame = codec.encode(&resp);
         let _ = done.send(Completion { conn, seq, frame, shutdown });
         waker.wake();
     }

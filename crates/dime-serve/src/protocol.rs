@@ -35,12 +35,13 @@
 //! machine-readable [`ErrorCode`] set; messages are human-readable and not
 //! part of the stable surface.
 //!
-//! Framing is handled by [`FrameReader`], which enforces a maximum frame
+//! Framing is the [`JsonLines`] codec, which enforces a maximum frame
 //! size *while* reading — an oversized line is discarded (up to its
-//! newline) and surfaced as [`Frame::Oversized`] so a server can answer
+//! newline) and surfaced as [`Split::Oversized`] so a server can answer
 //! with a structured error instead of buffering without bound or killing
-//! the connection.
+//! the connection. Clients read it through the blocking [`FrameReader`].
 
+use crate::pool::{Codec, Reject, Split};
 use dime_core::Polarity;
 use serde_json::{json, Value};
 use std::fmt;
@@ -121,26 +122,10 @@ impl ErrorCode {
 
     /// Parses a wire spelling back into a code.
     pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "bad_frame" => ErrorCode::BadFrame,
-            "frame_too_large" => ErrorCode::FrameTooLarge,
-            "unknown_op" => ErrorCode::UnknownOp,
-            "bad_request" => ErrorCode::BadRequest,
-            "no_such_session" => ErrorCode::NoSuchSession,
-            "no_such_entity" => ErrorCode::NoSuchEntity,
-            "empty_group" => ErrorCode::EmptyGroup,
-            "too_many_entities" => ErrorCode::TooManyEntities,
-            "too_many_sessions" => ErrorCode::TooManySessions,
-            "shutting_down" => ErrorCode::ShuttingDown,
-            "unavailable" => ErrorCode::Unavailable,
-            "internal" => ErrorCode::Internal,
-            "overloaded" => ErrorCode::Overloaded,
-            "rule_rejected" => ErrorCode::RuleRejected,
-            _ => return None,
-        })
+        Self::ALL.into_iter().find(|code| code.as_str() == s)
     }
 
-    /// Every code, for exhaustive round-trip tests.
+    /// Every code: the parse table, and the list round-trip tests walk.
     pub const ALL: [ErrorCode; 14] = [
         ErrorCode::BadFrame,
         ErrorCode::FrameTooLarge,
@@ -601,83 +586,147 @@ pub enum Frame {
     Oversized,
 }
 
-/// A newline-delimited frame reader with a hard per-frame size cap.
-///
-/// Reads never buffer more than the cap: once a line exceeds it, the
-/// reader switches to discard mode, consumes up to the terminating
-/// newline, and reports [`Frame::Oversized`] — the connection stays usable.
-/// Partial frames survive read timeouts (`WouldBlock`/`TimedOut` are
-/// returned to the caller with all buffered bytes retained), which is what
-/// lets a server poll its shutdown flag between reads without corrupting
-/// a slowly-arriving frame.
+/// The JSON-lines wire format as a [`Codec`]: one compact JSON value per
+/// newline-terminated line, capped at `max_frame_bytes`. An over-cap line
+/// is dropped up to its newline and answered `frame_too_large`, a blank
+/// line asks nothing, a CRLF peer is tolerated, and a trailing
+/// unterminated line still counts at end of stream.
+#[derive(Debug, Clone, Copy)]
+pub struct JsonLines {
+    /// Cap on one line, its terminator excluded.
+    pub max_frame_bytes: usize,
+}
+
+/// One JSON-lines stream's framing state.
+#[derive(Debug, Default)]
+pub struct LineFraming {
+    /// Leading bytes of the buffer already known to hold no newline.
+    scanned: usize,
+    /// Inside an over-cap line, dropping bytes up to its newline.
+    discarding: bool,
+}
+
+/// A line's bytes without its `\n` or `\r\n` terminator.
+fn line_of(frame: &[u8]) -> &[u8] {
+    let line = frame.strip_suffix(b"\n").unwrap_or(frame);
+    line.strip_suffix(b"\r").unwrap_or(line)
+}
+
+impl Codec for JsonLines {
+    type Request = Request;
+    type Response = Response;
+    type Framing = LineFraming;
+
+    fn split(&self, framing: &mut LineFraming, buf: &[u8], eof: bool) -> Split {
+        let from = framing.scanned.min(buf.len());
+        let end = match buf.get(from..).and_then(|tail| tail.iter().position(|&b| b == b'\n')) {
+            Some(at) => from + at,
+            None if eof && (framing.discarding || !buf.is_empty()) => buf.len(),
+            None if !buf.is_empty() && (framing.discarding || buf.len() > self.max_frame_bytes) => {
+                *framing = LineFraming { scanned: 0, discarding: true };
+                return Split::Skip(buf.len());
+            }
+            None => {
+                framing.scanned = buf.len();
+                return Split::Partial;
+            }
+        };
+        let oversized = framing.discarding || end > self.max_frame_bytes;
+        *framing = LineFraming::default();
+        let n = (end + 1).min(buf.len());
+        if oversized {
+            Split::Oversized(n)
+        } else {
+            Split::Frame(n)
+        }
+    }
+
+    fn decode(&self, frame: &[u8]) -> Option<Result<Request, Response>> {
+        let line = String::from_utf8_lossy(line_of(frame));
+        if line.trim().is_empty() {
+            return None;
+        }
+        Some(match serde_json::from_str::<Value>(&line) {
+            Ok(value) => Request::from_value(&value).map_err(|e| Response::err(e.code, e.message)),
+            Err(e) => Err(Response::err(ErrorCode::BadFrame, format!("invalid JSON: {e}"))),
+        })
+    }
+
+    fn reject(&self, why: Reject) -> Response {
+        let cap = self.max_frame_bytes;
+        let (code, message) = match why {
+            Reject::Oversized => (ErrorCode::FrameTooLarge, format!("frame exceeds {cap} bytes")),
+            Reject::Overloaded => {
+                (ErrorCode::Overloaded, "verify queue is full; retry after backoff".into())
+            }
+            Reject::Panicked => (ErrorCode::Internal, "request handler panicked".into()),
+        };
+        Response::err(code, message)
+    }
+
+    fn encode(&self, resp: &Response) -> Option<Vec<u8>> {
+        Some(encode_frame(&resp.to_value()).into_bytes())
+    }
+
+    fn is_error(&self, resp: &Response) -> bool {
+        !resp.is_ok()
+    }
+
+    fn is_shutdown(&self, req: &Request) -> bool {
+        matches!(req, Request::Shutdown)
+    }
+}
+
+/// A blocking reader of [`JsonLines`] frames, for clients: the codec's
+/// framing over a [`BufRead`], so an over-cap line is dropped up to its
+/// newline and reported as [`Frame::Oversized`] — the connection stays
+/// usable. Partial frames survive read timeouts (`WouldBlock`/`TimedOut`
+/// are returned to the caller with all buffered bytes retained).
 #[derive(Debug)]
 pub struct FrameReader<R> {
     inner: R,
-    partial: Vec<u8>,
-    discarding: bool,
-    max_bytes: usize,
+    codec: JsonLines,
+    framing: LineFraming,
+    buf: Vec<u8>,
 }
 
 impl<R: BufRead> FrameReader<R> {
     /// Wraps a buffered reader with the given per-frame cap.
     pub fn new(inner: R, max_bytes: usize) -> Self {
-        Self { inner, partial: Vec::new(), discarding: false, max_bytes }
+        let codec = JsonLines { max_frame_bytes: max_bytes };
+        Self { inner, codec, framing: LineFraming::default(), buf: Vec::new() }
     }
 
     /// Reads the next frame. `WouldBlock`/`TimedOut` IO errors surface as
     /// `Err` with the partial frame retained; call again to resume.
     pub fn read_frame(&mut self) -> io::Result<Frame> {
+        let mut eof = false;
         loop {
-            let buf = match self.inner.fill_buf() {
-                Ok(b) => b,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            if buf.is_empty() {
-                // EOF. A trailing unterminated line still counts as a frame.
-                if self.discarding {
-                    self.discarding = false;
-                    return Ok(Frame::Oversized);
-                }
-                if self.partial.is_empty() {
-                    return Ok(Frame::Eof);
-                }
-                let line = String::from_utf8_lossy(&self.partial).into_owned();
-                self.partial.clear();
-                return Ok(Frame::Line(line));
-            }
-            match buf.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    if self.discarding {
-                        self.inner.consume(pos + 1);
-                        self.discarding = false;
-                        return Ok(Frame::Oversized);
-                    }
-                    // dime-check: allow(panic-in-service) — pos comes from position() over this very buf, so the range is in bounds
-                    self.partial.extend_from_slice(&buf[..pos]);
-                    self.inner.consume(pos + 1);
-                    if self.partial.len() > self.max_bytes {
-                        self.partial.clear();
-                        return Ok(Frame::Oversized);
-                    }
-                    let mut line = std::mem::take(&mut self.partial);
-                    // Tolerate CRLF peers.
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    return Ok(Frame::Line(String::from_utf8_lossy(&line).into_owned()));
-                }
-                None => {
-                    let n = buf.len();
-                    if !self.discarding {
-                        self.partial.extend_from_slice(buf);
-                        if self.partial.len() > self.max_bytes {
-                            self.partial.clear();
-                            self.discarding = true;
-                        }
-                    }
+            let (n, frame) = match self.codec.split(&mut self.framing, &self.buf, eof) {
+                Split::Partial if eof => return Ok(Frame::Eof),
+                Split::Corrupt => return Err(io::ErrorKind::InvalidData.into()),
+                Split::Partial => {
+                    let chunk = match self.inner.fill_buf() {
+                        Ok(chunk) => chunk,
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                        Err(e) => return Err(e),
+                    };
+                    let n = chunk.len();
+                    eof = n == 0;
+                    self.buf.extend_from_slice(chunk);
                     self.inner.consume(n);
+                    continue;
                 }
+                Split::Skip(n) => (n, None),
+                Split::Oversized(n) => (n, Some(Frame::Oversized)),
+                Split::Frame(n) => {
+                    let line = self.buf.get(..n).map(line_of).unwrap_or_default();
+                    (n, Some(Frame::Line(String::from_utf8_lossy(line).into_owned())))
+                }
+            };
+            self.buf.drain(..n.min(self.buf.len()));
+            if let Some(frame) = frame {
+                return Ok(frame);
             }
         }
     }

@@ -8,8 +8,8 @@
 //! lock once, feeds its rows to `IncrementalDime::add_entity` in order,
 //! and logs them as one WAL batch.
 //!
-//! Each connection's frames are read through the size-capped
-//! [`FrameReader`](crate::FrameReader), dispatched, and answered in
+//! Each connection's frames are split by the size-capped
+//! [`JsonLines`](crate::JsonLines) codec, dispatched, and answered in
 //! order, so pipelined requests get pipelined responses. Whitespace-only
 //! lines are ignored (a trailing newline from shell clients is not an
 //! error).
@@ -26,7 +26,7 @@ use crate::metrics::GlobalMetrics;
 use crate::persist::{persist_new_session, rebuild_session, store_stats_to_value, SessionPersist};
 use crate::pool::Admission;
 use crate::protocol::{
-    polarity_str, ErrorCode, Request, Response, RuleAction, DEFAULT_MAX_FRAME_BYTES,
+    polarity_str, ErrorCode, JsonLines, Request, Response, RuleAction, DEFAULT_MAX_FRAME_BYTES,
 };
 use crate::session::{lock, Session, SessionStore};
 use dime_core::{parse_rules, IncrementalDime, Polarity, Rule, Schema};
@@ -174,11 +174,6 @@ impl ServerHandle {
     pub fn shutdown(&self) {
         self.shared.admission.initiate_shutdown();
     }
-
-    /// Whether shutdown has been initiated.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.admission.is_shutting_down()
-    }
 }
 
 /// A bound, not-yet-running discovery server.
@@ -214,9 +209,10 @@ impl Server {
     /// admission poll loop; the worker pool runs `handle_request`.
     pub fn run(self) -> io::Result<()> {
         let shared = &*self.shared;
-        shared
-            .admission
-            .serve(self.listener, shared.recorder.as_ref(), |req| handle_request(req, shared))
+        let codec = JsonLines { max_frame_bytes: shared.admission.config().max_frame_bytes };
+        shared.admission.serve(self.listener, shared.recorder.as_ref(), &codec, |req| {
+            handle_request(req, shared)
+        })
     }
 }
 
@@ -247,17 +243,6 @@ fn recover_persisted(shared: &Shared) -> io::Result<()> {
         shared.store.restore(id, session);
     }
     Ok(())
-}
-
-/// Parses one frame into a [`Request`]. An undecodable frame is the
-/// inline error response the admission layer answers without ever
-/// involving the worker pool.
-pub(crate) fn decode_line(line: &str) -> Result<Request, Response> {
-    let value: Value = match serde_json::from_str(line) {
-        Ok(v) => v,
-        Err(e) => return Err(Response::err(ErrorCode::BadFrame, format!("invalid JSON: {e}"))),
-    };
-    Request::from_value(&value).map_err(|e| Response::err(e.code, e.message))
 }
 
 /// The `add_entities` handler. The entity limit is checked before the

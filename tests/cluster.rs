@@ -305,3 +305,45 @@ fn router_holds_idle_connections_on_a_fixed_thread_count() {
     shard.wait().expect("shard exits");
     router.wait().expect("router exits");
 }
+
+/// The follower serves replication on the same poll loop: 32 held
+/// replication connections, each with an acked record behind it, leave
+/// the process at its poll thread, its one worker and a small margin —
+/// not one thread per connection.
+#[test]
+fn follower_holds_replication_connections_on_a_fixed_thread_count() {
+    use dime::cluster::FollowerLink;
+    use dime::store::{encode_record, WalOp, WalTap};
+    const HELD: u64 = 32;
+    let dir = temp_dir("follower-threads");
+    let dir_arg = dir.to_str().expect("utf-8 temp dir").to_string();
+    let (follower, repl) =
+        spawn_announced(&["cluster-shard", "--follower", "--data-dir", &dir_arg]);
+    let status = format!("/proc/{}/status", follower.id());
+    let threads = || -> Option<u64> {
+        let text = std::fs::read_to_string(&status).ok()?;
+        text.lines().find_map(|l| l.strip_prefix("Threads:")).and_then(|n| n.trim().parse().ok())
+    };
+
+    let doc = json!({"schema": [{"name": "Authors", "tokenizer": {"list": ","}}]}).to_string();
+    let open = encode_record(1, &WalOp::Open { doc, rules: RULES.into() });
+    let links: Vec<FollowerLink> = (1..=HELD)
+        .map(|session| {
+            let link = FollowerLink::new(repl.to_string(), Duration::from_secs(5));
+            link.record_committed(session, &open).expect("open acked over a held connection");
+            link
+        })
+        .collect();
+    match threads() {
+        Some(n) => assert!(
+            n <= 6,
+            "follower runs {n} threads holding {HELD} replication connections; expected at most 6"
+        ),
+        None => eprintln!("note: {status} unreadable; skipping the thread-count check"),
+    }
+
+    // An unpromoted follower has no stop op: the guard kills it.
+    drop(links);
+    drop(follower);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}

@@ -44,6 +44,7 @@ use serde_json::{json, Value};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const RULES: &str = "positive: overlap(Authors) >= 2\nnegative: overlap(Authors) <= 0";
@@ -89,12 +90,30 @@ fn batch(rows: usize) -> Vec<Value> {
     (0..rows).map(|i| json!([format!("ann{i}, bob{i}")])).collect()
 }
 
+/// A shard server running on its own thread over its own data directory.
+struct Shard {
+    addr: SocketAddr,
+    handle: ServerHandle,
+    thread: JoinHandle<std::io::Result<()>>,
+    dir: PathBuf,
+}
+
+impl Shard {
+    /// Shuts the server down, waits until it has drained, and removes its
+    /// data directory.
+    fn stop(self) {
+        self.handle.shutdown();
+        let _ = self.thread.join();
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
 /// Binds a durable (`fsync always`) shard server and runs it on its own
 /// thread. Snapshotting is pushed out of the way so the measurement is
 /// WAL appends, not checkpoint writes.
-fn spawn_shard(dir: PathBuf, replication: Option<WalTapHandle>) -> (SocketAddr, ServerHandle) {
+fn spawn_shard(dir: PathBuf, replication: Option<WalTapHandle>) -> Shard {
     let _ = std::fs::remove_dir_all(&dir);
-    let mut store = StoreConfig::new(dir);
+    let mut store = StoreConfig::new(dir.clone());
     store.fsync = FsyncPolicy::Always;
     store.snapshot_every = 4096;
     let server = Server::bind(ServeConfig {
@@ -106,8 +125,8 @@ fn spawn_shard(dir: PathBuf, replication: Option<WalTapHandle>) -> (SocketAddr, 
     .expect("bind shard");
     let addr = server.local_addr();
     let handle = server.handle();
-    std::thread::spawn(move || server.run());
-    (addr, handle)
+    let thread = std::thread::spawn(move || server.run());
+    Shard { addr, handle, thread, dir }
 }
 
 fn spawn_router(config: RouterConfig) -> (SocketAddr, RouterHandle) {
@@ -148,24 +167,23 @@ fn drive(addr: SocketAddr, clients: usize, lifecycles: usize) -> (f64, f64) {
 /// Single durable replicated server, clients connected directly — the
 /// baseline.
 fn single_node(lifecycles: usize, rtt: Duration) -> (f64, f64) {
-    let (addr, handle) = spawn_shard(temp_dir("single"), ack_tap(rtt));
-    let result = drive(addr, CLIENTS_PER_SHARD, lifecycles);
-    handle.shutdown();
+    let shard = spawn_shard(temp_dir("single"), ack_tap(rtt));
+    let result = drive(shard.addr, CLIENTS_PER_SHARD, lifecycles);
+    shard.stop();
     result
 }
 
 /// `shards` durable replicated servers behind a router, 2 clients per
 /// shard.
 fn sharded(shards: usize, lifecycles: usize, rtt: Duration) -> (f64, f64, usize) {
-    let mut handles = Vec::new();
-    let mut specs = Vec::new();
-    for s in 0..shards {
-        let (addr, handle) = spawn_shard(temp_dir(&format!("s{shards}-{s}")), ack_tap(rtt));
-        specs.push(ShardSpec { addr: addr.to_string(), follower: None });
-        handles.push(handle);
-    }
+    let servers: Vec<Shard> = (0..shards)
+        .map(|s| spawn_shard(temp_dir(&format!("s{shards}-{s}")), ack_tap(rtt)))
+        .collect();
     let (addr, router) = spawn_router(RouterConfig {
-        shards: specs,
+        shards: servers
+            .iter()
+            .map(|s| ShardSpec { addr: s.addr.to_string(), follower: None })
+            .collect(),
         pool_per_shard: POOL_PER_SHARD,
         health: None,
         ..RouterConfig::default()
@@ -173,8 +191,8 @@ fn sharded(shards: usize, lifecycles: usize, rtt: Duration) -> (f64, f64, usize)
     let clients = CLIENTS_PER_SHARD * shards;
     let (rate, elapsed) = drive(addr, clients, lifecycles);
     router.shutdown();
-    for handle in handles {
-        handle.shutdown();
+    for server in servers {
+        server.stop();
     }
     (rate, elapsed, clients)
 }
@@ -185,23 +203,23 @@ fn failover(probe_ms: u64, fail_threshold: u32) -> (f64, bool) {
     let follower_dir = temp_dir("failover-f");
     let _ = std::fs::remove_dir_all(&follower_dir);
     let follower = Follower::bind(FollowerConfig {
-        data_dir: follower_dir,
+        data_dir: follower_dir.clone(),
         fsync: FsyncPolicy::Always,
         ..FollowerConfig::default()
     })
     .expect("bind follower");
     let follower_addr = follower.local_addr();
     let follower_handle = follower.handle();
-    std::thread::spawn(move || follower.run());
+    let follower_thread = std::thread::spawn(move || follower.run());
 
     let tap = WalTapHandle::new(Arc::new(FollowerLink::new(
         follower_addr.to_string(),
         Duration::from_secs(5),
     )));
-    let (primary_addr, primary) = spawn_shard(temp_dir("failover-p"), Some(tap));
+    let primary = spawn_shard(temp_dir("failover-p"), Some(tap));
     let (addr, router) = spawn_router(RouterConfig {
         shards: vec![ShardSpec {
-            addr: primary_addr.to_string(),
+            addr: primary.addr.to_string(),
             follower: Some(follower_addr.to_string()),
         }],
         pool_per_shard: 1,
@@ -222,7 +240,7 @@ fn failover(probe_ms: u64, fail_threshold: u32) -> (f64, bool) {
     before.as_object_mut().expect("report").remove("witnesses");
 
     let killed = Instant::now();
-    primary.shutdown();
+    primary.handle.shutdown();
     let deadline = killed + Duration::from_secs(30);
     // The dying primary drains its open connections, so the first
     // requests after the kill may still be served by the corpse. Count a
@@ -251,10 +269,13 @@ fn failover(probe_ms: u64, fail_threshold: u32) -> (f64, bool) {
     let identical = before == after;
 
     router.shutdown();
+    primary.stop();
     if let Some(promoted) = follower_handle.promoted() {
         promoted.shutdown();
     }
     follower_handle.shutdown();
+    let _ = follower_thread.join();
+    let _ = std::fs::remove_dir_all(&follower_dir);
     (gap, identical)
 }
 

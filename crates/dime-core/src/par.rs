@@ -5,12 +5,13 @@
 //! calling thread, spawning nothing, so the one-worker engine is the
 //! sharded engine with no threading cost.
 //!
-//! The engine only needs two shapes — an order-preserving indexed map and
-//! a plain worker fan-out — so this wraps `std::thread::scope` directly
-//! instead of pulling in a work-stealing runtime: the work units (one
-//! entity row, one residue class of entities, one partition) are already
-//! coarse and balanced, so contiguous chunking is within noise of
-//! stealing, and the dependency footprint stays zero.
+//! The engine only needs two shapes — an order-preserving map (over
+//! indices or owned items) and a plain worker fan-out — so this wraps
+//! `std::thread::scope` directly instead of pulling in a work-stealing
+//! runtime: the work units (one entity row, one residue class of
+//! entities, one partition) are already coarse and balanced, so contiguous
+//! chunking is within noise of stealing, and the dependency footprint
+//! stays zero.
 
 /// Inputs below this size run on one worker: spawning a scope of threads
 /// costs on the order of 0.1 ms, which dwarfs the work of a few dozen
@@ -27,30 +28,55 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
 }
 
 /// Maps `f` over `0..n` on up to `threads` scoped workers, preserving
-/// index order in the result. Falls back to a plain sequential map for a
-/// single worker (or tiny inputs), so callers can use one code path.
-///
-/// A panic in any worker propagates to the caller after all workers have
-/// been joined by the scope.
+/// index order in the result: [`par_map_owned`] over `n` unit items.
 pub(crate) fn par_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    par_map_owned(vec![(); n], threads, |i, ()| f(i))
+}
+
+/// Maps `f(index, item)` over owned `items` on up to `threads` scoped
+/// workers, preserving order in the result. Each worker consumes one
+/// contiguous run of `items`, so an item is dropped as soon as `f` is done
+/// with it rather than when the whole map is. Falls back to a plain
+/// sequential map for a single worker (or tiny inputs), so callers can use
+/// one code path.
+///
+/// A panic in any worker propagates to the caller after all workers have
+/// been joined by the scope.
+pub(crate) fn par_map_owned<T, U, F>(mut items: Vec<T>, threads: usize, f: F) -> Vec<U>
+where
+    T: Send,
+    U: Send,
+    F: Fn(usize, T) -> U + Sync,
+{
+    let n = items.len();
     let threads = threads.clamp(1, n.max(1));
     if threads <= 1 || n < SEQ_CUTOFF {
-        return (0..n).map(f).collect();
+        return items.into_iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let chunk = n.div_ceil(threads);
-    let mut parts: Vec<Vec<T>> = Vec::with_capacity(threads);
+    // Runs of `chunk` items, split off the back, then put in order.
+    let mut runs: Vec<(usize, Vec<T>)> = Vec::with_capacity(threads);
+    while items.len() > chunk {
+        let start = (items.len() - 1) / chunk * chunk;
+        runs.push((start, items.split_off(start)));
+    }
+    runs.push((0, items));
+    runs.reverse();
+    let mut parts: Vec<Vec<U>> = Vec::with_capacity(runs.len());
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            let f = &f;
-            handles.push(scope.spawn(move || (lo..hi).map(f).collect::<Vec<T>>()));
-        }
+        let f = &f;
+        let handles: Vec<_> = runs
+            .into_iter()
+            .map(|(start, run)| {
+                scope.spawn(move || {
+                    run.into_iter().enumerate().map(|(i, t)| f(start + i, t)).collect::<Vec<U>>()
+                })
+            })
+            .collect();
         for h in handles {
             parts.push(h.join().expect("parallel worker panicked"));
         }
@@ -96,6 +122,17 @@ mod tests {
             assert_eq!(par_map(97, threads, |i| i * 3), seq, "threads = {threads}");
         }
         assert!(par_map(0, 4, |i| i).is_empty());
+    }
+
+    #[test]
+    fn par_map_owned_preserves_order() {
+        let seq: Vec<usize> = (0..97).map(|i| i * 3 + i).collect();
+        for threads in [1, 2, 5, 16] {
+            let items: Vec<usize> = (0..97).map(|i| i * 3).collect();
+            let got = par_map_owned(items, threads, |i, x| x + i);
+            assert_eq!(got, seq, "threads = {threads}");
+        }
+        assert!(par_map_owned(Vec::<usize>::new(), 4, |_, x| x).is_empty());
     }
 
     #[test]

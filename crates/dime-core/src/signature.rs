@@ -25,13 +25,25 @@
 //! Composite signatures for a positive rule (a conjunction) are tuples with
 //! one component per non-trivial predicate, hashed to `u64`. Hash
 //! collisions only ever *add* candidates.
+//!
+//! The batch engine keys one positive `AtMost` edit predicate per rule
+//! (`edit_sim ≥ θ` or `edit_distance ≤ k`) with Pass-Join partition
+//! signatures (Li, Deng, Wang and Feng, PVLDB 2011) instead of q-gram
+//! prefixes. They are asymmetric: a value's *index* keys are its segments
+//! and its *probe* keys are substrings of it, so a rule's tuples come in
+//! the two sides [`RuleSigs`] holds. Every other predicate emits the same
+//! set on both sides. The live engine ([`crate::IncrementalDime`]),
+//! negative edit predicates and rules whose values have too many probe
+//! keys keep the symmetric q-gram prefixes.
 
-use crate::entity::{Entity, Group};
+use crate::entity::{AttrValue, Entity, Group};
+use crate::rule::{edit_distance_check, edit_similarity_check, EditCheck};
 use crate::rule::{Polarity, Predicate, Rule, SimilarityFn};
 use dime_ontology::{node_signature, tau_min};
-use dime_text::{edit_prefix_len, overlap_prefix_len, qgrams, GlobalOrder, TokenId};
+use dime_text::{edit_prefix_len, overlap_prefix_len, GlobalOrder, TokenId};
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 
 /// q-gram length used for character-based signatures.
 pub(crate) const Q: usize = 2;
@@ -56,11 +68,11 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Hashes a string to `u64` (FNV-1a, then mixed).
+/// Hashes bytes to `u64` (FNV-1a, then mixed).
 #[inline]
-fn hash_str(s: &str) -> u64 {
+fn hash_bytes(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
+    for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
@@ -71,6 +83,12 @@ fn hash_str(s: &str) -> u64 {
 #[inline]
 fn salted(salt: u64, component: u64) -> u64 {
     mix64(salt ^ component.rotate_left(17))
+}
+
+/// The salt of a rule's predicate `pi`: it keeps the predicates' keys apart
+/// in the XOR of a composite tuple.
+fn predicate_salt(pi: usize) -> u64 {
+    mix64(pi as u64 + 1)
 }
 
 /// The signature set of one (entity, predicate, polarity).
@@ -139,17 +157,16 @@ impl<'g> SigContext<'g> {
     }
 
     /// Composite signatures of **every** entity of the group for a positive
-    /// rule. Per entity: `None` means wildcard (pair it with everything);
-    /// `Some(sigs)` may be empty, meaning the entity can never satisfy the
-    /// rule.
+    /// rule, on both sides (see [`RuleSigs`]).
     ///
     /// The subset of predicates that participates in the tuples is chosen
     /// once per rule (smallest average signature sets first, capped so the
     /// largest per-entity cross product stays under an internal budget) —
     /// signature tuples are only comparable when every entity uses the same
-    /// predicate subset. Components combine by XOR, so tuple hashes are
-    /// independent of construction order.
-    pub fn positive_rule_signatures(&mut self, rule: &Rule) -> Vec<Option<Vec<u64>>> {
+    /// predicate subset. A Pass-Join predicate is sized by its probe keys.
+    /// Components combine by XOR, so tuple hashes are independent of
+    /// construction order.
+    pub fn positive_rule_signatures(&mut self, rule: &Rule) -> RuleSigs {
         self.positive_rule_signatures_threaded(rule, 1)
     }
 
@@ -157,21 +174,29 @@ impl<'g> SigContext<'g> {
     /// tuple composition fanned out over `threads` workers. The `τ_min`
     /// cache is warmed up front so row generation is read-only; results
     /// are identical to the sequential path for every thread count.
-    pub fn positive_rule_signatures_threaded(
-        &mut self,
-        rule: &Rule,
-        threads: usize,
-    ) -> Vec<Option<Vec<u64>>> {
+    pub fn positive_rule_signatures_threaded(&mut self, rule: &Rule, threads: usize) -> RuleSigs {
         debug_assert_eq!(rule.polarity, Polarity::Positive);
         for pred in &rule.predicates {
             self.warm_tau(pred, Polarity::Positive);
         }
         let n = self.group.len();
         let m = rule.predicates.len();
-        // Per-entity, per-predicate signature sets (salted by predicate).
+        // The first positive `AtMost` edit predicate takes Pass-Join keys,
+        // unless a value of its attribute would have more probe keys than a
+        // composite may hold: probes grow with the cube of the distance
+        // cutoff, so long values keep the q-gram prefixes instead of
+        // becoming wildcards.
+        let pj = rule
+            .predicates
+            .iter()
+            .enumerate()
+            .find_map(|(pi, p)| Some((pi, EditBound::of(p)?)))
+            .filter(|&(pi, bound)| self.pass_join_fits(rule.predicates[pi].attr, bound));
+        // Per-entity, per-predicate signature sets (salted by predicate),
+        // with the Pass-Join predicate's index keys and its probe count.
         let ctx = &*self;
-        let per: Vec<Vec<PredSigs>> =
-            crate::par::par_map(n, threads, |eid| ctx.salted_positive_row(eid, rule));
+        let per: Vec<(Vec<PredSigs>, usize)> =
+            crate::par::par_map(n, threads, |eid| ctx.salted_positive_row(eid, rule, pj));
         // Rule-level predicate subset: non-trivial predicates ordered by
         // average signature-set size, greedily added while the *maximum*
         // per-entity tuple count stays bounded.
@@ -180,11 +205,13 @@ impl<'g> SigContext<'g> {
                 let mut sum = 0usize;
                 let mut max = 0usize;
                 let mut informative = false;
-                for row in &per {
+                for (row, probes) in &per {
                     match &row[pi] {
                         PredSigs::Sigs(s) => {
-                            sum += s.len();
-                            max = max.max(s.len().max(1));
+                            let len =
+                                if pj.is_some_and(|(j, _)| j == pi) { *probes } else { s.len() };
+                            sum += len;
+                            max = max.max(len.max(1));
                             informative = true;
                         }
                         PredSigs::Wildcard => {
@@ -199,7 +226,7 @@ impl<'g> SigContext<'g> {
             .collect();
         if stats.is_empty() {
             // Every predicate trivial for every entity: all pairs match.
-            return vec![None; n];
+            return RuleSigs::symmetric(vec![None; n]);
         }
         stats.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         let mut chosen: Vec<usize> = vec![stats[0].0];
@@ -212,7 +239,42 @@ impl<'g> SigContext<'g> {
             chosen.push(pi);
         }
         let plan = PositiveRulePlan { chosen };
-        crate::par::par_map(n, threads, |eid| compose_row(&per[eid], &plan))
+        // Composing consumes the rows, so each is freed once composed.
+        let Some((pj, bound)) = pj.filter(|(pi, _)| plan.chosen.contains(pi)) else {
+            return RuleSigs::symmetric(crate::par::par_map_owned(per, threads, |_, (row, _)| {
+                compose_row(&row, &plan, None)
+            }));
+        };
+        // The probe side: the Pass-Join keys are generated here, one entity
+        // at a time, and composed straight away.
+        let attr = rule.predicates[pj].attr;
+        let (index, probe): (Vec<_>, Vec<_>) =
+            crate::par::par_map_owned(per, threads, |eid, (row, count)| {
+                match compose_row(&row, &plan, None) {
+                    Some(index) if !index.is_empty() => {
+                        let value = ctx.group.entity(eid).value(attr);
+                        let keys = pass_join_probe(value, bound, predicate_salt(pj), count);
+                        let probe = compose_row(&row, &plan, Some((pj, &keys)));
+                        probe.map_or((None, Vec::new()), |probe| (Some(index), probe))
+                    }
+                    index => (index, Vec::new()),
+                }
+            })
+            .into_iter()
+            .unzip();
+        // Probing runs down (char count, reversed id) on the predicate's
+        // attribute.
+        let mut order: Vec<u64> = (0..n as u32)
+            .map(|e| {
+                u64::from(ctx.group.entity(e as usize).value(attr).char_len) << 32 | u64::from(!e)
+            })
+            .collect();
+        order.sort_unstable();
+        let mut rank = vec![0u32; n];
+        for (r, &key) in (0u32..).zip(&order) {
+            rank[!(key as u32) as usize] = r;
+        }
+        RuleSigs { index, probe: Some(probe), rank }
     }
 
     /// Chooses the predicate subset a rule's composite tuples will use,
@@ -234,7 +296,8 @@ impl<'g> SigContext<'g> {
 
     /// Composite signatures of one entity under a fixed [`PositiveRulePlan`]
     /// — only comparable with signatures produced under the *same* plan and
-    /// the same (frozen) token order.
+    /// the same (frozen) token order. Edit predicates take symmetric q-gram
+    /// prefixes here: the live engine keeps one index per rule.
     pub fn entity_positive_signatures(
         &mut self,
         eid: usize,
@@ -244,21 +307,50 @@ impl<'g> SigContext<'g> {
         for pred in &rule.predicates {
             self.warm_tau(pred, Polarity::Positive);
         }
-        let row = self.salted_positive_row(eid, rule);
-        compose_row(&row, plan)
+        let (row, _) = self.salted_positive_row(eid, rule, None);
+        compose_row(&row, plan, None)
     }
 
-    fn salted_positive_row(&self, eid: usize, rule: &Rule) -> Vec<PredSigs> {
+    /// Whether every value of `attr` has at most [`MAX_COMPOSITE`] Pass-Join
+    /// probe keys under `bound`.
+    fn pass_join_fits(&self, attr: usize, bound: EditBound) -> bool {
+        let mut lens: Vec<u32> =
+            self.group.entities().iter().map(|e| e.value(attr).char_len).collect();
+        lens.sort_unstable();
+        lens.dedup();
+        lens.into_iter().all(|len| probe_count(len as usize, bound) <= MAX_COMPOSITE)
+    }
+
+    /// One entity's salted signatures per predicate of a positive rule.
+    /// Predicate `pj`, when set, takes its Pass-Join index keys, and its
+    /// probe count comes back too.
+    fn salted_positive_row(
+        &self,
+        eid: usize,
+        rule: &Rule,
+        pj: Option<(usize, EditBound)>,
+    ) -> (Vec<PredSigs>, usize) {
         let e = self.group.entity(eid);
-        (0..rule.predicates.len())
-            .map(|pi| match self.positive_sigs(e, &rule.predicates[pi]) {
-                PredSigs::Sigs(s) => {
-                    let salt = mix64(pi as u64 + 1);
-                    PredSigs::Sigs(s.into_iter().map(|c| salted(salt, c)).collect())
+        let mut probes = 0;
+        let row = (0..rule.predicates.len())
+            .map(|pi| {
+                let pred = &rule.predicates[pi];
+                if let Some((_, bound)) = pj.filter(|&(j, _)| j == pi) {
+                    let (index, count) =
+                        pass_join_index(e.value(pred.attr), bound, predicate_salt(pi));
+                    probes = count;
+                    return index;
                 }
-                other => other,
+                match self.positive_sigs(e, pred) {
+                    PredSigs::Sigs(s) => {
+                        let salt = predicate_salt(pi);
+                        PredSigs::Sigs(s.into_iter().map(|c| salted(salt, c)).collect())
+                    }
+                    other => other,
+                }
             })
-            .collect()
+            .collect();
+        (row, probes)
     }
 
     /// Per-predicate signatures for a negative rule, in predicate order,
@@ -308,7 +400,7 @@ impl<'g> SigContext<'g> {
                 // +ε: a float θ that *represents* an integer must not floor
                 // below it — a too-short prefix is a false dismissal.
                 let t = (theta + FP_EPS).floor().max(0.0) as usize;
-                self.gram_prefix_sigs(&value.text, t)
+                gram_prefix_sigs(value, t)
             }
             SimilarityFn::EditSimilarity => {
                 if theta <= 0.0 {
@@ -323,7 +415,7 @@ impl<'g> SigContext<'g> {
                 // land at 0.999…8 and floor a distance too low (observed:
                 // θ = 0.8, |v| = 4 → 0.9999999999999998).
                 let dmax = (((1.0 - theta) * len as f64 / theta) + FP_EPS).floor() as usize;
-                self.gram_prefix_sigs(&value.text, dmax)
+                gram_prefix_sigs(value, dmax)
             }
             SimilarityFn::Ontology => {
                 if theta <= 0.0 {
@@ -386,7 +478,7 @@ impl<'g> SigContext<'g> {
                 if s < 0 {
                     return PredSigs::Sigs(Vec::new()); // d ≥ σ ≤ 0 always
                 }
-                self.gram_prefix_sigs(&value.text, s as usize)
+                gram_prefix_sigs(value, s as usize)
             }
             SimilarityFn::EditSimilarity => {
                 if sigma < 0.0 {
@@ -403,7 +495,7 @@ impl<'g> SigContext<'g> {
                     return PredSigs::Sigs(vec![mix64(0xE55)]);
                 }
                 let dmax = (((1.0 - sigma) * len as f64 / sigma) + FP_EPS).floor() as usize;
-                self.gram_prefix_sigs(&value.text, dmax)
+                gram_prefix_sigs(value, dmax)
             }
             SimilarityFn::Ontology => {
                 if sigma < 0.0 {
@@ -459,23 +551,6 @@ impl<'g> SigContext<'g> {
     /// Hashes every token of a set (the σ = 0 full-set signature).
     fn hash_tokens(&self, tokens: &[TokenId]) -> Vec<u64> {
         tokens.iter().map(|&t| mix64(0x70C ^ u64::from(t) << 8)).collect()
-    }
-
-    /// q-gram prefix signatures for an edit-distance bound `t`.
-    fn gram_prefix_sigs(&self, text: &str, t: usize) -> PredSigs {
-        let grams = qgrams(text, Q);
-        match edit_prefix_len(grams.len(), Q, t) {
-            None => PredSigs::Wildcard,
-            Some(plen) => {
-                let mut hashed: Vec<u64> = grams.iter().map(|g| hash_str(g)).collect();
-                // Rarity order for grams: we approximate the global gram
-                // order by the hash itself, which is shared by all values —
-                // any fixed total order preserves the prefix guarantee.
-                hashed.sort_unstable();
-                hashed.truncate(plen);
-                PredSigs::Sigs(hashed)
-            }
-        }
     }
 
     /// `τ_min` for an ontology predicate: the minimum `τ_n` over every
@@ -555,9 +630,14 @@ fn is_trivially_true(pred: &Predicate, polarity: Polarity) -> bool {
 }
 
 /// Folds one entity's per-predicate signatures into composite tuples under
-/// a plan (see [`SigContext::positive_rule_signatures`] for the semantics
-/// of `None` / empty results).
-fn compose_row(row: &[PredSigs], plan: &PositiveRulePlan) -> Option<Vec<u64>> {
+/// a plan (see [`RuleSigs::index`] for the semantics of `None` / empty
+/// results). `swap` replaces one predicate's set: the probe side of a
+/// Pass-Join predicate.
+fn compose_row(
+    row: &[PredSigs],
+    plan: &PositiveRulePlan,
+    swap: Option<(usize, &[u64])>,
+) -> Option<Vec<u64>> {
     if plan.chosen.is_empty() {
         return None; // nothing to index on: brute force
     }
@@ -565,13 +645,14 @@ fn compose_row(row: &[PredSigs], plan: &PositiveRulePlan) -> Option<Vec<u64>> {
     if row.iter().any(|p| matches!(p, PredSigs::Sigs(s) if s.is_empty())) {
         return Some(Vec::new());
     }
-    let mut parts: Vec<&Vec<u64>> = Vec::with_capacity(plan.chosen.len());
+    let mut parts: Vec<&[u64]> = Vec::with_capacity(plan.chosen.len());
     for &pi in &plan.chosen {
-        match &row[pi] {
-            PredSigs::Sigs(s) => parts.push(s),
+        match (&row[pi], swap) {
+            (PredSigs::Sigs(_), Some((sp, probe))) if sp == pi => parts.push(probe),
+            (PredSigs::Sigs(s), _) => parts.push(s),
             // Wildcard on a chosen predicate, or trivial for this entity
             // while informative for others: no sound tuple — brute force.
-            PredSigs::Wildcard | PredSigs::Trivial => return None,
+            (PredSigs::Wildcard | PredSigs::Trivial, _) => return None,
         }
     }
     // XOR cross product (order-independent), mixed at the end. Signatures
@@ -596,9 +677,307 @@ fn compose_row(row: &[PredSigs], plan: &PositiveRulePlan) -> Option<Vec<u64>> {
         acc = next;
     }
     let mut out: Vec<u64> = acc.into_iter().map(mix64).collect();
-    out.sort_unstable();
-    out.dedup();
+    // A probe side may repeat a key: gathering then walks that list twice,
+    // and its stamp keeps each partner once.
+    if swap.is_none() {
+        out.sort_unstable();
+        out.dedup();
+    }
     Some(out)
+}
+
+/// A positive rule's composite signatures for every entity of a group.
+///
+/// Each entity has *index* keys, which the rule's postings hold, and
+/// *probe* keys, which it looks up there. The two are the same set unless
+/// a Pass-Join predicate is among the rule's tuples: its index keys are a
+/// value's segments and its probe keys are substrings of the value, sound
+/// only when the probing value is at least as long. [`RuleSigs::rank`]
+/// orders the entities so that each pair is probed from one side only.
+#[derive(Debug, Clone)]
+pub struct RuleSigs {
+    /// Per entity, its index keys. `None` is a wildcard, which pairs with
+    /// every entity; an empty set can never satisfy the rule.
+    pub index: Vec<Option<Vec<u64>>>,
+    /// Per entity, its probe keys when they differ from its index keys
+    /// (empty for a wildcard).
+    probe: Option<Vec<Vec<u64>>>,
+    /// Per entity, its place in the probing order: an entity probes for
+    /// the partners of lower rank only. Ranks ascend by reversed id, and
+    /// under a Pass-Join predicate first by the char count of its
+    /// attribute, so a value probes for shorter partners and for as long
+    /// ones of larger id.
+    pub rank: Vec<u32>,
+}
+
+impl RuleSigs {
+    /// Signatures whose probe keys are their index keys.
+    fn symmetric(index: Vec<Option<Vec<u64>>>) -> Self {
+        let rank = (0..index.len() as u32).rev().collect();
+        Self { index, probe: None, rank }
+    }
+
+    /// Entity `e`'s probe keys; `None` for a wildcard.
+    pub fn probe(&self, e: usize) -> Option<&[u64]> {
+        let own = self.index[e].as_deref()?;
+        Some(self.probe.as_ref().map_or(own, |probe| &probe[e]))
+    }
+
+    /// Whether the pair `(a, b)` is a candidate on signatures alone: a side
+    /// is a wildcard, or the higher-ranked side's probe keys meet the other
+    /// side's index keys.
+    #[cfg(test)]
+    pub(crate) fn pairs(&self, a: usize, b: usize) -> bool {
+        let (hi, lo) = if self.rank[a] > self.rank[b] { (a, b) } else { (b, a) };
+        match (self.probe(hi), &self.index[lo]) {
+            (Some(probe), Some(index)) => probe.iter().any(|k| index.contains(k)),
+            _ => true,
+        }
+    }
+}
+
+/// The distance bound of a positive `AtMost` edit predicate, as Pass-Join
+/// partitions it.
+#[derive(Debug, Clone, Copy)]
+enum EditBound {
+    /// `edit_distance ≤ k`.
+    Distance(usize),
+    /// `edit_sim ≥ θ`, `0 < θ ≤ 1`.
+    Similarity(f64),
+}
+
+impl EditBound {
+    /// The bound of a positive edit predicate that holds for some but not
+    /// all distances; `None` for every other predicate.
+    fn of(pred: &Predicate) -> Option<Self> {
+        match pred.func {
+            SimilarityFn::EditDistance => {
+                match edit_distance_check(pred.threshold, Polarity::Positive) {
+                    EditCheck::AtMost(k) => Some(Self::Distance(k)),
+                    _ => None,
+                }
+            }
+            SimilarityFn::EditSimilarity if pred.threshold > 0.0 && pred.threshold <= 1.0 => {
+                Some(Self::Similarity(pred.threshold))
+            }
+            _ => None,
+        }
+    }
+
+    /// `τ(L)`: a value of `len` chars splits into `τ(L) + 1` segments, one
+    /// more than the distance any satisfying pair with it can have.
+    fn tau(self, len: usize) -> usize {
+        match self {
+            Self::Distance(k) => k,
+            // sim ≥ θ ⇒ d ≤ (1−θ)·L/θ (from max ≤ L + d); +ε as for the
+            // q-gram prefix, so an exact bound never floors one short.
+            Self::Similarity(theta) => {
+                (((1.0 - theta) * len as f64 / theta) + FP_EPS).floor() as usize
+            }
+        }
+    }
+
+    /// The largest distance a pair whose longer value has `r > 0` chars
+    /// may have and still satisfy the predicate.
+    fn cutoff(self, r: usize) -> usize {
+        match self {
+            Self::Distance(k) => k,
+            Self::Similarity(theta) => match edit_similarity_check(theta, Polarity::Positive, r) {
+                EditCheck::AtMost(k) => k,
+                _ => r,
+            },
+        }
+    }
+}
+
+/// Pass-Join index keys of one value of `L` chars under `bound`, salted
+/// by `salt`, and how many probe keys [`pass_join_probe`] gives it.
+///
+/// * **Index.** The value splits into `τ(L) + 1` even segments, keyed by
+///   `(L, segment i, segment chars)`. Within `τ(L)` edits of a partner, one
+///   segment survives intact.
+/// * **Probe.** For every partner length `L' ≤ L` the bound allows, and
+///   each segment `i` of an `L'`-char partner at offset `p`, the substrings
+///   of the value of the segment's length starting at `p + δ`, where
+///   multi-match-aware selection bounds the shift `δ` to
+///   `[max(−i, Δ − (d − i)), min(i, Δ + (d − i))]` with `Δ = L − L'` and
+///   `d` the pair's distance cutoff. (Of the segments a pair's alignment
+///   leaves intact, pick the first `i` whose prefix carries exactly `i`
+///   edits: the prefix shifts the segment by at most `i`, and the rest by
+///   at most `d − i` relative to the length difference.)
+///
+/// A value whose `τ(L) ≥ L` has an empty segment and no sound key, so it
+/// is a wildcard. The empty string under `edit_sim` keeps the shared
+/// marker of the q-gram scheme: it only matches itself.
+fn pass_join_index(value: &AttrValue, bound: EditBound, salt: u64) -> (PredSigs, usize) {
+    let len = value.char_len as usize;
+    if len == 0 && matches!(bound, EditBound::Similarity(_)) {
+        return (PredSigs::Sigs(vec![salted(salt, mix64(0xE55))]), 1);
+    }
+    let tau = bound.tau(len);
+    if tau >= len {
+        return (PredSigs::Wildcard, 0);
+    }
+    let chars = Chars::new(value);
+    let index = Segments::new(len, tau)
+        .map(|(i, p, l)| segment_key(segment_seed(salt, len, i), chars.slice(p, l)))
+        .collect();
+    (PredSigs::Sigs(index), probe_count(len, bound))
+}
+
+/// How many probe keys [`pass_join_probe`] gives a value of `len` chars; 0
+/// for a wildcard.
+fn probe_count(len: usize, bound: EditBound) -> usize {
+    match len {
+        0 => usize::from(matches!(bound, EditBound::Similarity(_))),
+        _ if bound.tau(len) >= len => 0,
+        _ => probe_windows(len, bound).map(|(.., starts)| starts.count()).sum(),
+    }
+}
+
+/// The Pass-Join probe keys of a value that [`pass_join_index`] keys (see
+/// there), `count` of them. They may repeat.
+fn pass_join_probe(value: &AttrValue, bound: EditBound, salt: u64, count: usize) -> Vec<u64> {
+    let len = value.char_len as usize;
+    if len == 0 {
+        return vec![salted(salt, mix64(0xE55))];
+    }
+    let chars = Chars::new(value);
+    let mut probe = Vec::with_capacity(count);
+    for (partner, i, l, starts) in probe_windows(len, bound) {
+        let seed = segment_seed(salt, partner, i);
+        probe.extend(starts.map(|q| segment_key(seed, chars.slice(q, l))));
+    }
+    probe
+}
+
+/// The probe windows of a value of `len` chars: per partner length `L'`
+/// that can still match and not a wildcard, and per segment `i` of it that
+/// can survive, `(L', i, segment length, starts)`.
+fn probe_windows(
+    len: usize,
+    bound: EditBound,
+) -> impl Iterator<Item = (usize, usize, usize, RangeInclusive<usize>)> {
+    let d = bound.cutoff(len);
+    (len.saturating_sub(d).max(1)..=len).flat_map(move |partner| {
+        let tau = bound.tau(partner);
+        // A partner with `τ ≥ L'` is a wildcard: it pairs with everything.
+        let segments = (tau < partner).then(|| Segments::new(partner, tau).take(d + 1));
+        debug_assert!(tau >= partner || d <= tau, "a cutoff exceeds its partner's segmentation");
+        let delta = len - partner;
+        segments.into_iter().flatten().map(move |(i, p, l)| {
+            let lo = (p + delta + i).saturating_sub(d).max(p.saturating_sub(i));
+            let hi = (p + i).min(p + delta + d - i).min(len - l);
+            (partner, i, l, lo..=hi)
+        })
+    })
+}
+
+/// The `tau + 1` even segments of a value of `len > tau` chars, as
+/// `(i, offset, length)`: the last `len mod (tau + 1)` are one char longer.
+struct Segments {
+    i: usize,
+    at: usize,
+    base: usize,
+    /// How many segments are `base` chars long.
+    short: usize,
+    m: usize,
+}
+
+impl Segments {
+    fn new(len: usize, tau: usize) -> Self {
+        let m = tau + 1;
+        Self { i: 0, at: 0, base: len / m, short: m - len % m, m }
+    }
+}
+
+impl Iterator for Segments {
+    type Item = (usize, usize, usize);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        (self.i < self.m).then(|| {
+            let (i, p, l) = (self.i, self.at, self.base + usize::from(self.i >= self.short));
+            self.i += 1;
+            self.at += l;
+            (i, p, l)
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.m - self.i, Some(self.m - self.i))
+    }
+}
+
+/// The hash state every key of segment `i` of a `len`-char value starts
+/// from, under a predicate's `salt`.
+#[inline]
+fn segment_seed(salt: u64, len: usize, i: usize) -> u64 {
+    mix64(salt ^ ((len as u64) << 32 | i as u64))
+}
+
+/// A segment's key: its bytes folded into `seed` eight at a time, each
+/// word mixed in. Under one seed a segment has a fixed char count, so two
+/// texts fold to the same words only when multi-byte chars let their byte
+/// lengths differ by trailing NULs; a collision only adds candidates.
+#[inline]
+fn segment_key(seed: u64, bytes: &[u8]) -> u64 {
+    bytes.chunks(8).fold(seed, |h, chunk| {
+        let word = chunk.iter().rev().fold(0u64, |w, &b| w << 8 | u64::from(b));
+        mix64(h ^ word)
+    })
+}
+
+/// A value's text addressed by char: ASCII text by byte, other text
+/// through its char boundaries. Edit kernels count chars, so segments and
+/// grams are cut on chars.
+struct Chars<'v> {
+    text: &'v [u8],
+    /// Byte offset of every char, then the text's length; empty for ASCII.
+    bounds: Vec<usize>,
+}
+
+impl<'v> Chars<'v> {
+    fn new(value: &'v AttrValue) -> Self {
+        let text = value.text.as_str();
+        let bounds = if value.is_ascii {
+            Vec::new()
+        } else {
+            text.char_indices().map(|(b, _)| b).chain([text.len()]).collect()
+        };
+        Self { text: text.as_bytes(), bounds }
+    }
+
+    /// The UTF-8 bytes of chars `start..start + len`.
+    fn slice(&self, start: usize, len: usize) -> &'v [u8] {
+        if self.bounds.is_empty() {
+            &self.text[start..start + len]
+        } else {
+            &self.text[self.bounds[start]..self.bounds[start + len]]
+        }
+    }
+}
+
+/// q-gram prefix signatures for an edit-distance bound `t`: the hashes of
+/// the value's distinct `Q`-grams (the whole value when it is shorter),
+/// least first. The order is the hash itself, which every value shares —
+/// any fixed total order preserves the prefix guarantee.
+fn gram_prefix_sigs(value: &AttrValue, t: usize) -> PredSigs {
+    let chars = Chars::new(value);
+    let len = value.char_len as usize;
+    let mut hashed: Vec<u64> = match len {
+        0 => Vec::new(),
+        _ if len < Q => vec![hash_bytes(chars.slice(0, len))],
+        _ => (0..=len - Q).map(|i| hash_bytes(chars.slice(i, Q))).collect(),
+    };
+    hashed.sort_unstable();
+    hashed.dedup();
+    match edit_prefix_len(hashed.len(), Q, t) {
+        None => PredSigs::Wildcard,
+        Some(plen) => {
+            hashed.truncate(plen);
+            PredSigs::Sigs(hashed)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -646,7 +1025,7 @@ mod tests {
         assert_eq!(ctx.predicate_sigs(g.entity(0), &pred, Polarity::Positive), PredSigs::Trivial);
         // A rule of only trivial predicates indexes nothing → wildcard.
         let rule = Rule::positive(vec![pred]);
-        assert!(ctx.positive_rule_signatures(&rule).iter().all(Option::is_none));
+        assert!(ctx.positive_rule_signatures(&rule).index.iter().all(Option::is_none));
     }
 
     #[test]
@@ -683,7 +1062,7 @@ mod tests {
         let mut ctx = SigContext::new(&g);
         // ϕ2+ (overlap ≥ 1 ∧ ontology ≥ 0.75): entities 1 and 3 share the
         // (nan tang, database) tuple.
-        let all = ctx.positive_rule_signatures(&pos[1]);
+        let all = ctx.positive_rule_signatures(&pos[1]).index;
         let s1 = all[1].as_ref().unwrap();
         let s3 = all[3].as_ref().unwrap();
         assert!(s1.iter().any(|x| s3.contains(x)), "composite tuples must intersect");
@@ -704,13 +1083,10 @@ mod tests {
             for i in 0..g.len() {
                 for j in i + 1..g.len() {
                     if rule.eval(&g, g.entity(i), g.entity(j)) {
-                        // A wildcard (`None`) is always a candidate.
-                        if let (Some(a), Some(b)) = (&all[i], &all[j]) {
-                            assert!(
-                                a.iter().any(|x| b.contains(x)),
-                                "pair ({i},{j}) satisfies {rule} but sigs disjoint"
-                            );
-                        }
+                        assert!(
+                            all.pairs(i, j),
+                            "pair ({i},{j}) satisfies {rule} but sigs disjoint"
+                        );
                     }
                 }
             }
@@ -765,9 +1141,216 @@ mod tests {
         let rule = Rule::positive(vec![pred]);
         let mut ctx = SigContext::new(&g);
         let all = ctx.positive_rule_signatures(&rule);
-        // A wildcard (`None`) would also be sound.
-        if let (Some(a), Some(b)) = (&all[0], &all[1]) {
-            assert!(a.iter().any(|x| b.contains(x)), "boundary pair must share a signature");
+        assert!(all.pairs(0, 1), "boundary pair must share a signature");
+    }
+
+    /// A one-attribute group over `values`, as the `Whole` tokenizer keeps
+    /// them (trimmed, lowercased).
+    fn text_group(values: &[String]) -> Group {
+        let mut b = GroupBuilder::new(Schema::new([("Name", TokenizerKind::Whole)]));
+        for v in values {
+            b.add_entity(&[v.as_str()]);
+        }
+        b.build()
+    }
+
+    /// Checks Pass-Join soundness for `pred` on every pair of `g`: if the
+    /// pair satisfies it and neither side is a wildcard, the longer
+    /// value's probe keys meet the other's index keys — both ways round at
+    /// equal length.
+    fn check_pass_join_sound(g: &Group, pred: &Predicate) {
+        let bound = EditBound::of(pred).expect("a positive AtMost edit predicate");
+        let sigs: Vec<(PredSigs, Vec<u64>)> = (0..g.len())
+            .map(|e| {
+                let value = g.entity(e).value(0);
+                let (index, count) = pass_join_index(value, bound, 1);
+                let probe = match index {
+                    PredSigs::Sigs(_) => pass_join_probe(value, bound, 1, count),
+                    _ => Vec::new(),
+                };
+                assert_eq!(probe.len(), count, "{pred} on {:?}", value.text);
+                (index, probe)
+            })
+            .collect();
+        for (i, (_, probe)) in sigs.iter().enumerate() {
+            for (j, (index, _)) in sigs.iter().enumerate() {
+                let (a, b) = (g.entity(i).value(0), g.entity(j).value(0));
+                if i == j
+                    || a.char_len < b.char_len
+                    || !pred.eval(g, g.entity(i), g.entity(j), Polarity::Positive)
+                {
+                    continue;
+                }
+                match (&sigs[i].0, index) {
+                    (PredSigs::Sigs(_), PredSigs::Sigs(index)) => assert!(
+                        probe.iter().any(|k| index.contains(k)),
+                        "{pred}: {:?} probes miss {:?}",
+                        a.text,
+                        b.text
+                    ),
+                    (PredSigs::Trivial, _) | (_, PredSigs::Trivial) => panic!("{pred} is trivial"),
+                    _ => {} // a wildcard pairs with everything
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pass_join_keys_segments_and_windows() {
+        let g = text_group(&["abcdefghij".to_string()]);
+        let v = g.entity(0).value(0);
+        // θ = 0.8 on 10 chars: τ = 2, so 3 segments of 3, 3 and 4 chars.
+        let segments: Vec<_> = Segments::new(10, 2).collect();
+        assert_eq!(segments, [(0, 0, 3), (1, 3, 3), (2, 6, 4)]);
+        let bound = EditBound::Similarity(0.8);
+        let (index, count) = pass_join_index(v, bound, 1);
+        let keys = segments
+            .iter()
+            .map(|&(i, p, l)| segment_key(segment_seed(1, 10, i), &v.text.as_bytes()[p..p + l]));
+        assert_eq!(index, PredSigs::Sigs(keys.collect()));
+        // Partners of 8, 9 and 10 chars (cutoff 2): 3 + 4 + 5 windows.
+        assert_eq!((count, pass_join_probe(v, bound, 1, count).len()), (12, 12));
+        // Short values: τ(L) ≥ L leaves an empty segment, a wildcard.
+        let short = text_group(&["ab".to_string(), String::new()]);
+        let distance = EditBound::Distance(2);
+        assert_eq!(pass_join_index(short.entity(0).value(0), distance, 1).0, PredSigs::Wildcard);
+        assert_eq!(pass_join_index(short.entity(1).value(0), distance, 1).0, PredSigs::Wildcard);
+        // The empty value under edit_sim only matches itself.
+        let empty = short.entity(1).value(0);
+        let (index, count) = pass_join_index(empty, bound, 1);
+        assert_eq!((index, count), (PredSigs::Sigs(pass_join_probe(empty, bound, 1, 1)), 1));
+    }
+
+    /// Probe keys grow with the cube of the distance cutoff: past 46 chars
+    /// at θ = 0.7 and 69 at θ = 0.8 a value has more than a composite may
+    /// hold. A rule over such values keeps the q-gram prefixes, where they
+    /// are not wildcards, and still pairs every satisfying pair; the same
+    /// rule over short values takes Pass-Join keys.
+    #[test]
+    fn long_values_keep_qgram_keys() {
+        let mut rng = crate::dime_plus::tests::SplitMix64(0x10C6);
+        const CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789";
+        let mut long = Vec::new();
+        for _ in 0..12 {
+            let mut value: Vec<u8> =
+                (0..60 + rng.below(61)).map(|_| CHARS[rng.below(CHARS.len())]).collect();
+            long.push(String::from_utf8(value.clone()).unwrap());
+            // A near duplicate: up to 8 substitutions.
+            for _ in 0..rng.below(9) {
+                let at = rng.below(value.len());
+                value[at] = CHARS[rng.below(CHARS.len())];
+            }
+            long.push(String::from_utf8(value).unwrap());
+        }
+        let short: Vec<String> = long.iter().map(|v| v[..10].to_string()).collect();
+        for theta in [0.7, 0.8] {
+            assert!(probe_count(120, EditBound::Similarity(theta)) > MAX_COMPOSITE);
+            let rule = Rule::positive(vec![Predicate::new(0, SimilarityFn::EditSimilarity, theta)]);
+            let g = text_group(&long);
+            let sigs = SigContext::new(&g).positive_rule_signatures(&rule);
+            assert!(sigs.probe.is_none(), "θ = {theta}: long values keep q-gram keys");
+            assert!(sigs.index.iter().all(Option::is_some), "θ = {theta}: a wildcard");
+            let mut satisfied = 0;
+            for i in 0..g.len() {
+                for j in i + 1..g.len() {
+                    if rule.eval(&g, g.entity(i), g.entity(j)) {
+                        satisfied += 1;
+                        assert!(sigs.pairs(i, j), "θ = {theta}: ({i}, {j}) dismissed");
+                    }
+                }
+            }
+            assert!(satisfied >= 6, "θ = {theta}: only {satisfied} satisfying pairs");
+            let g = text_group(&short);
+            assert!(SigContext::new(&g).positive_rule_signatures(&rule).probe.is_some());
+        }
+    }
+
+    /// The q-gram prefix hashes char windows in place; its output is the
+    /// sorted hash of each distinct `qgrams` gram string, truncated: the
+    /// keys the live engine and negative edit predicates emitted before.
+    #[test]
+    fn gram_prefix_matches_qgram_strings() {
+        let mut rng = crate::dime_plus::tests::SplitMix64(0x9A11);
+        const CHARS: [char; 7] = ['a', 'b', 'c', ' ', 'ö', 'é', '日'];
+        let values: Vec<String> = (0..400)
+            .map(|_| (0..rng.below(14)).map(|_| CHARS[rng.below(CHARS.len())]).collect())
+            .collect();
+        let g = text_group(&values);
+        for e in 0..g.len() {
+            let v = g.entity(e).value(0);
+            let grams = dime_text::qgrams(&v.text, Q);
+            for t in 0..4 {
+                let expected = match edit_prefix_len(grams.len(), Q, t) {
+                    None => PredSigs::Wildcard,
+                    Some(plen) => {
+                        let mut h: Vec<u64> =
+                            grams.iter().map(|g| hash_bytes(g.as_bytes())).collect();
+                        h.sort_unstable();
+                        h.truncate(plen);
+                        PredSigs::Sigs(h)
+                    }
+                };
+                assert_eq!(gram_prefix_sigs(v, t), expected, "{:?} at t = {t}", v.text);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Pass-Join soundness: a pair that satisfies a positive edit
+        /// predicate shares a probe and an index key (the longer value
+        /// probing) unless a side is a wildcard. The values are a random
+        /// base over `[a-cö]`, random edits of it (spaces included, trimmed
+        /// at the ends), and the base less as many chars as each bound's
+        /// cutoff allows, so partner lengths reach `R − cutoff(R)` (that
+        /// is `⌈θ·R⌉`) exactly. Bases run from empty and one char up; θ ≤
+        /// 0.5 and k ≥ L make `τ ≥ L`.
+        #[test]
+        fn prop_passjoin_sound(
+            base in "[a-cö]{0,12}",
+            edits in proptest::collection::vec(
+                proptest::collection::vec((0usize..16, 0usize..3, 0usize..5), 1..4), 1..6),
+            theta in 0.3f64..1.0,
+        ) {
+            const CHARS: [char; 5] = ['a', 'b', 'c', 'ö', ' '];
+            let base: Vec<char> = base.chars().collect();
+            let mut values: Vec<String> = vec![base.iter().collect()];
+            for ops in &edits {
+                let mut v = base.clone();
+                for &(pos, kind, c) in ops {
+                    match kind {
+                        0 if !v.is_empty() => {
+                            let at = pos % v.len();
+                            v[at] = CHARS[c];
+                        }
+                        1 => v.insert(pos % (v.len() + 1), CHARS[c]),
+                        _ if !v.is_empty() => {
+                            v.remove(pos % v.len());
+                        }
+                        _ => {}
+                    }
+                }
+                values.push(v.into_iter().collect());
+            }
+            let thetas = [0.3, 0.5, 0.6, 2.0 / 3.0, 0.75, 0.8, 0.9, 1.0, theta];
+            let mut preds: Vec<Predicate> = thetas
+                .iter()
+                .map(|&t| Predicate::new(0, SimilarityFn::EditSimilarity, t))
+                .collect();
+            preds.extend((0..5).map(|k| Predicate::new(0, SimilarityFn::EditDistance, k as f64)));
+            for pred in &preds {
+                if let (Some(bound), false) = (EditBound::of(pred), base.is_empty()) {
+                    let mut v = base.clone();
+                    for j in 0..bound.cutoff(base.len()).min(base.len()) {
+                        v.remove((edits[0][0].0 + 3 * j) % v.len());
+                    }
+                    values.push(v.into_iter().collect());
+                }
+            }
+            let g = text_group(&values);
+            for pred in &preds {
+                check_pass_join_sound(&g, pred);
+            }
         }
     }
 
@@ -795,13 +1378,7 @@ mod tests {
                     for j in i + 1..g.len() {
                         let sim = pred.similarity(&g, g.entity(i), g.entity(j));
                         if sim >= theta {
-                            // A wildcard (`None`) is always a candidate.
-                            if let (Some(a), Some(b)) = (&all[i], &all[j]) {
-                                prop_assert!(
-                                    a.iter().any(|x| b.contains(x)),
-                                    "{func:?} sim {sim} ≥ {theta} but sigs disjoint"
-                                );
-                            }
+                            prop_assert!(all.pairs(i, j), "{func:?} sim {sim} ≥ {theta} but sigs disjoint");
                         }
                     }
                 }
@@ -879,9 +1456,7 @@ mod tests {
                 for j in 0..g.len() {
                     if i == j { continue; }
                     if pos.eval(&g, g.entity(i), g.entity(j)) {
-                        if let (Some(a), Some(b)) = (&psigs[i], &psigs[j]) {
-                            prop_assert!(a.iter().any(|x| b.contains(x)));
-                        }
+                        prop_assert!(psigs.pairs(i, j));
                     }
                     let disjoint = nsigs[i].iter().zip(nsigs[j].iter()).all(|(a, b)| match (a, b) {
                         (PredSigs::Sigs(a), PredSigs::Sigs(b)) => !a.iter().any(|x| b.contains(x)),

@@ -167,8 +167,8 @@ run_perfbench_selftest() {
 # What the engine counts on a fixed input is a property of the algorithm,
 # not of its speed: a perf change that moves one of these counters changed
 # which pairs DIME⁺ filters or verifies. dbgen's work is mostly the
-# positive phase (3.66M candidate pairs, of which the edit bound refutes
-# all but 0.25M while they are gathered, before any is verified),
+# positive phase (0.64M candidate pairs, of which the edit bound refutes
+# 0.40M while they are gathered, before any is verified),
 # scholar's mostly the negative phase (2.54M negative pairs), so between
 # them both phases of the engine are pinned. By time, scholar's
 # discovery is led by flag and index_probe: the negative phase decides
@@ -193,11 +193,11 @@ run_perfbench_counters() {
     return 2
   fi
   perfbench_pinned dbgen '{
-    "core.candidate_pairs": 3658181,
-    "core.pairs_verified": 194295,
+    "core.candidate_pairs": 639344,
+    "core.pairs_verified": 180819,
     "core.negative_pairs_verified": 4236,
-    "core.index_probes": 44569,
-    "core.pairs_skipped_transitivity": 56208,
+    "core.index_probes": 55709,
+    "core.pairs_skipped_transitivity": 54757,
     "core.uf_merges": 16606
   }' || return 1
   perfbench_pinned scholar '{

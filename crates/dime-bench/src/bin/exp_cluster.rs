@@ -236,8 +236,7 @@ fn failover(probe_ms: u64, fail_threshold: u32) -> (f64, bool) {
     client
         .add_entities(rid, &[json!(["ann, bob"]), json!(["ann, bob, carl"]), json!(["dora"])])
         .expect("add");
-    let mut before = client.discovery(rid).expect("pre-kill discovery");
-    before.as_object_mut().expect("report").remove("witnesses");
+    let before = client.discovery(rid).expect("pre-kill discovery");
 
     let killed = Instant::now();
     primary.handle.shutdown();
@@ -248,7 +247,7 @@ fn failover(probe_ms: u64, fail_threshold: u32) -> (f64, bool) {
     // request, or the router reporting the promotion — so the gap spans
     // kill → detection → promotion → replay → first real answer.
     let mut saw_outage = false;
-    let mut after = loop {
+    let after = loop {
         assert!(Instant::now() < deadline, "failover never completed");
         match client.discovery(rid) {
             Ok(report) if saw_outage => break report,
@@ -265,7 +264,6 @@ fn failover(probe_ms: u64, fail_threshold: u32) -> (f64, bool) {
         }
     };
     let gap = killed.elapsed().as_secs_f64();
-    after.as_object_mut().expect("report").remove("witnesses");
     let identical = before == after;
 
     router.shutdown();

@@ -496,7 +496,7 @@ impl<'a> TokenPostings<'a> {
 
 /// Compressed sparse rows of `u32`: `values[starts[r]..starts[r + 1]]` is
 /// row `r`.
-pub(crate) struct Csr {
+struct Csr {
     starts: Vec<u32>,
     values: Vec<u32>,
 }
@@ -504,7 +504,7 @@ pub(crate) struct Csr {
 impl Csr {
     /// `rows` rows from `(row, value)` entries by counting sort; each row
     /// keeps its entries' order. `entries` is walked twice.
-    pub(crate) fn new<I>(rows: usize, entries: impl Fn() -> I) -> Self
+    fn new<I>(rows: usize, entries: impl Fn() -> I) -> Self
     where
         I: Iterator<Item = (usize, u32)>,
     {
@@ -524,22 +524,8 @@ impl Csr {
         Self { starts, values }
     }
 
-    /// The rows in order, each given as its values.
-    pub(crate) fn from_rows<R: IntoIterator<Item = u32>>(rows: impl Iterator<Item = R>) -> Self {
-        let (mut starts, mut values) = (vec![0u32], Vec::new());
-        for row in rows {
-            values.extend(row);
-            starts.push(values.len() as u32);
-        }
-        Self { starts, values }
-    }
-
-    pub(crate) fn rows(&self) -> usize {
-        self.starts.len() - 1
-    }
-
     /// Row `r`; empty past the last row.
-    pub(crate) fn row(&self, r: usize) -> &[u32] {
+    fn row(&self, r: usize) -> &[u32] {
         match self.starts.get(r..r + 2) {
             Some(&[lo, hi]) => &self.values[lo as usize..hi as usize],
             _ => &[],

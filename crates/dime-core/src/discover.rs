@@ -16,11 +16,9 @@ use dime_index::UnionFind;
 use std::collections::BTreeSet;
 
 /// Why a partition was flagged: the first negative rule that fired and the
-/// entity pair that satisfied it (`entity` in the flagged partition,
-/// `pivot_entity` in the pivot). A partition flagged purely by the
-/// signature filter (provably dissimilar without verification, so every
-/// pair satisfies the rule) is witnessed by its first member and the
-/// pivot's first member.
+/// first entity pair that satisfied it (`entity` in the flagged partition,
+/// `pivot_entity` in the pivot), in the order members and then pivot
+/// entities ascend by id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Witness {
     /// Index of the flagged partition in [`Discovery::partitions`].
@@ -34,7 +32,7 @@ pub struct Witness {
 }
 
 /// The result of running DIME (any variant) on a group.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Discovery {
     /// The disjoint partitions computed by the positive rules; each is a
     /// sorted list of entity ids. Ordered by smallest member.
@@ -45,21 +43,10 @@ pub struct Discovery {
     /// One step per negative rule: `steps[k]` holds the entities flagged by
     /// the disjunction `φ₁⁻ ∨ … ∨ φ_{k+1}⁻`. Monotone non-decreasing.
     pub steps: Vec<ScrollStep>,
-    /// One witness per flagged partition (first rule that fired), for
-    /// explaining results to users. Witness pairs may differ between
-    /// engines (any satisfying pair is a valid witness), so this field is
-    /// excluded from equality.
+    /// One witness per flagged partition, in partition order, for
+    /// explaining results to users. Every engine walks the pairs in the
+    /// same order, so every engine reports the same witnesses.
     pub witnesses: Vec<Witness>,
-}
-
-impl PartialEq for Discovery {
-    fn eq(&self, other: &Self) -> bool {
-        // Witnesses are explanations, not results: engines may verify pairs
-        // in different orders and surface different (equally valid) pairs.
-        self.partitions == other.partitions
-            && self.pivot == other.pivot
-            && self.steps == other.steps
-    }
 }
 
 /// One scrollbar position: the cumulative output after enabling a prefix of

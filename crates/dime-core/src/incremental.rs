@@ -28,10 +28,11 @@
 //! compact (every later id shifts down by one) so the group stays dense.
 //!
 //! The negative phase (pivot selection + partition flagging) is recomputed
-//! on every [`IncrementalDime::discovery`], over the maintained arena. It
-//! is not cheap next to an add: in perfbench's traced session runs
-//! (300-row groups growing by 4-row adds, on a 2-vCPU host) one discovery
-//! costs 1.2–1.7 ms, against 0.06–0.17 ms for a 4-row add.
+//! on every [`IncrementalDime::discovery`], over the maintained arena. In
+//! perfbench's traced session replays (300-row groups growing by 4-row
+//! adds, on a 2-vCPU shared host, seed 1101, 4 runs each) one discovery
+//! costs 0.09 ms on dbgen and 0.20–0.21 ms on scholar, against
+//! 0.023–0.024 and 0.08 ms for a 4-row add.
 //!
 //! For an end-to-end walkthrough of streaming discovery see
 //! `examples/streaming_profile.rs`; for serving many live groups over this
@@ -448,16 +449,8 @@ impl IncrementalDime {
         let partitions = self.uf.components();
         let pivot = pick_pivot(&partitions);
         drop(union_span);
-        let mut ctx = SigContext::with_frozen_order(&self.group, &self.order);
-        let (steps, witnesses) = negative_phase(
-            &self.arena,
-            &mut ctx,
-            &self.negative,
-            &partitions,
-            pivot,
-            1,
-            sink.as_ref(),
-        );
+        let (steps, witnesses) =
+            negative_phase(&self.arena, &self.negative, &partitions, pivot, 1, sink.as_ref());
         Discovery { partitions, pivot, steps, witnesses }
     }
 }

@@ -64,5 +64,4 @@ pub use incremental::IncrementalDime;
 pub use parse::{parse_rule, parse_rules, ParseRuleError};
 pub use review::{Decision, ReviewSession};
 pub use rule::{Polarity, Predicate, Rule, SimilarityFn};
-pub use signature::{PositiveRulePlan, PredSigs, RuleSigs, SigContext};
 pub use stats::{BucketStats, PartitionStats};

@@ -1,20 +1,15 @@
-//! Signature generation for rules (paper Section IV-B).
+//! Signature generation for positive rules (paper Section IV-B).
 //!
-//! For every (entity, predicate, polarity) this module produces a signature
-//! set with the filter guarantees DIME⁺ relies on:
-//!
-//! * **positive** predicate `f ≥ θ`: if a pair satisfies the predicate, the
-//!   two signature sets intersect (no false dismissals in the filter);
-//! * **negative** predicate `f ≤ σ`: if the two signature sets are
-//!   *disjoint*, the predicate is guaranteed to hold (safe to flag without
-//!   verification).
+//! For every (entity, positive predicate `f ≥ θ`) this module produces a
+//! signature set with the filter guarantee DIME⁺'s positive phase relies
+//! on: if a pair satisfies the predicate, the two signature sets intersect
+//! (no false dismissals in the filter). The negative phase uses no
+//! signatures; it decides pairs from counts (see [`crate::dime_plus`]).
 //!
 //! Three outcomes are possible per value:
 //!
-//! * [`PredSigs::Sigs`] — a concrete (possibly empty) signature set. For a
-//!   positive predicate an empty set means the value can never satisfy it;
-//!   for a negative predicate it means the predicate holds against
-//!   everything (e.g. an empty author list has overlap 0 with anything).
+//! * [`PredSigs::Sigs`] — a concrete (possibly empty) signature set; an
+//!   empty set means the value can never satisfy the predicate.
 //! * [`PredSigs::Wildcard`] — no sound signature exists (e.g. a string too
 //!   short for the q-gram count filter); the entity must be verified
 //!   against everything.
@@ -32,9 +27,9 @@
 //! prefixes. They are asymmetric: a value's *index* keys are its segments
 //! and its *probe* keys are substrings of it, so a rule's tuples come in
 //! the two sides [`RuleSigs`] holds. Every other predicate emits the same
-//! set on both sides. The live engine ([`crate::IncrementalDime`]),
-//! negative edit predicates and rules whose values have too many probe
-//! keys keep the symmetric q-gram prefixes.
+//! set on both sides. The live engine ([`crate::IncrementalDime`]) and
+//! rules whose values have too many probe keys keep the symmetric q-gram
+//! prefixes.
 
 use crate::entity::{AttrValue, Entity, Group};
 use crate::rule::{edit_distance_check, edit_similarity_check, EditCheck};
@@ -91,9 +86,9 @@ fn predicate_salt(pi: usize) -> u64 {
     mix64(pi as u64 + 1)
 }
 
-/// The signature set of one (entity, predicate, polarity).
+/// The signature set of one (entity, positive predicate).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PredSigs {
+pub(crate) enum PredSigs {
     /// Concrete signatures (see module docs for the empty-set semantics).
     Sigs(Vec<u64>),
     /// No sound signature; verify against everything.
@@ -104,7 +99,7 @@ pub enum PredSigs {
 
 /// Shared signature-generation state for one group: the global token order
 /// and a cache of ontology `τ_min` values per (attribute, threshold).
-pub struct SigContext<'g> {
+pub(crate) struct SigContext<'g> {
     group: &'g Group,
     order: Cow<'g, GlobalOrder>,
     tau_cache: HashMap<(usize, u64), u32>,
@@ -116,7 +111,7 @@ pub struct SigContext<'g> {
 
 impl<'g> SigContext<'g> {
     /// Builds the context (computes the document-frequency global order).
-    pub fn new(group: &'g Group) -> Self {
+    pub(crate) fn new(group: &'g Group) -> Self {
         Self {
             group,
             order: Cow::Owned(GlobalOrder::from_dictionary(group.dictionary())),
@@ -128,7 +123,7 @@ impl<'g> SigContext<'g> {
     /// Builds a context around a *frozen* token order and conservative
     /// ontology signature depths — the configuration under which signatures
     /// stay mutually consistent as the group grows.
-    pub fn with_frozen_order(group: &'g Group, order: &'g GlobalOrder) -> Self {
+    pub(crate) fn with_frozen_order(group: &'g Group, order: &'g GlobalOrder) -> Self {
         Self {
             group,
             order: Cow::Borrowed(order),
@@ -137,23 +132,17 @@ impl<'g> SigContext<'g> {
         }
     }
 
-    /// The underlying group.
-    pub fn group(&self) -> &'g Group {
-        self.group
+    /// Signature set of `entity` for one positive `pred`.
+    #[cfg(test)]
+    fn predicate_sigs(&mut self, entity: &Entity, pred: &Predicate) -> PredSigs {
+        self.warm_tau(pred);
+        self.positive_sigs(entity, pred)
     }
 
-    /// Signature set of `entity` for one `pred` under `polarity`.
-    pub fn predicate_sigs(
-        &mut self,
-        entity: &Entity,
-        pred: &Predicate,
-        polarity: Polarity,
-    ) -> PredSigs {
-        self.warm_tau(pred, polarity);
-        match polarity {
-            Polarity::Positive => self.positive_sigs(entity, pred),
-            Polarity::Negative => self.negative_sigs(entity, pred),
-        }
+    /// [`SigContext::positive_rule_signatures_threaded`] on one worker.
+    #[cfg(test)]
+    pub(crate) fn positive_rule_signatures(&mut self, rule: &Rule) -> RuleSigs {
+        self.positive_rule_signatures_threaded(rule, 1)
     }
 
     /// Composite signatures of **every** entity of the group for a positive
@@ -166,18 +155,18 @@ impl<'g> SigContext<'g> {
     /// predicate subset. A Pass-Join predicate is sized by its probe keys.
     /// Components combine by XOR, so tuple hashes are independent of
     /// construction order.
-    pub fn positive_rule_signatures(&mut self, rule: &Rule) -> RuleSigs {
-        self.positive_rule_signatures_threaded(rule, 1)
-    }
-
-    /// [`SigContext::positive_rule_signatures`] with per-entity rows and
-    /// tuple composition fanned out over `threads` workers. The `τ_min`
-    /// cache is warmed up front so row generation is read-only; results
-    /// are identical to the sequential path for every thread count.
-    pub fn positive_rule_signatures_threaded(&mut self, rule: &Rule, threads: usize) -> RuleSigs {
+    ///
+    /// Per-entity rows and tuple composition are fanned out over `threads`
+    /// workers. The `τ_min` cache is warmed up front so row generation is
+    /// read-only; results are identical for every thread count.
+    pub(crate) fn positive_rule_signatures_threaded(
+        &mut self,
+        rule: &Rule,
+        threads: usize,
+    ) -> RuleSigs {
         debug_assert_eq!(rule.polarity, Polarity::Positive);
         for pred in &rule.predicates {
-            self.warm_tau(pred, Polarity::Positive);
+            self.warm_tau(pred);
         }
         let n = self.group.len();
         let m = rule.predicates.len();
@@ -280,7 +269,7 @@ impl<'g> SigContext<'g> {
     /// Chooses the predicate subset a rule's composite tuples will use,
     /// independent of any particular entity set — the incremental engine
     /// fixes a plan once and composes every later entity against it.
-    pub fn plan_positive_rule(&self, rule: &Rule) -> PositiveRulePlan {
+    pub(crate) fn plan_positive_rule(&self, rule: &Rule) -> PositiveRulePlan {
         debug_assert_eq!(rule.polarity, Polarity::Positive);
         // Without entity statistics, keep every non-trivial predicate under
         // a conservative per-predicate budget.
@@ -288,7 +277,7 @@ impl<'g> SigContext<'g> {
             .predicates
             .iter()
             .enumerate()
-            .filter(|(_, p)| !is_trivially_true(p, Polarity::Positive))
+            .filter(|(_, p)| !is_trivially_true(p))
             .map(|(i, _)| i)
             .collect();
         PositiveRulePlan { chosen }
@@ -298,14 +287,14 @@ impl<'g> SigContext<'g> {
     /// — only comparable with signatures produced under the *same* plan and
     /// the same (frozen) token order. Edit predicates take symmetric q-gram
     /// prefixes here: the live engine keeps one index per rule.
-    pub fn entity_positive_signatures(
+    pub(crate) fn entity_positive_signatures(
         &mut self,
         eid: usize,
         rule: &Rule,
         plan: &PositiveRulePlan,
     ) -> Option<Vec<u64>> {
         for pred in &rule.predicates {
-            self.warm_tau(pred, Polarity::Positive);
+            self.warm_tau(pred);
         }
         let (row, _) = self.salted_positive_row(eid, rule, None);
         compose_row(&row, plan, None)
@@ -351,21 +340,6 @@ impl<'g> SigContext<'g> {
             })
             .collect();
         (row, probes)
-    }
-
-    /// Per-predicate signatures for a negative rule, in predicate order,
-    /// for **every** entity of the group, fanned out over `threads` workers
-    /// (the `τ_min` cache is warmed first so workers only read).
-    pub fn rule_sigs_negative_all(&mut self, rule: &Rule, threads: usize) -> Vec<Vec<PredSigs>> {
-        debug_assert_eq!(rule.polarity, Polarity::Negative);
-        for pred in &rule.predicates {
-            self.warm_tau(pred, Polarity::Negative);
-        }
-        let ctx = &*self;
-        crate::par::par_map(self.group.len(), threads, |eid| {
-            let e = ctx.group.entity(eid);
-            rule.predicates.iter().map(|p| ctx.negative_sigs(e, p)).collect()
-        })
     }
 
     // ---- positive predicates --------------------------------------------
@@ -435,90 +409,6 @@ impl<'g> SigContext<'g> {
         }
     }
 
-    // ---- negative predicates --------------------------------------------
-
-    fn negative_sigs(&self, entity: &Entity, pred: &Predicate) -> PredSigs {
-        let value = entity.value(pred.attr);
-        let sigma = pred.threshold;
-        match pred.func {
-            SimilarityFn::Overlap => {
-                // overlap ≤ σ: scheme at θ' = ⌊σ⌋ + 1; no share ⇒ ov ≤ σ.
-                if sigma < 0.0 {
-                    return PredSigs::Wildcard; // predicate can never hold
-                }
-                let c = sigma.floor() as usize + 1;
-                match self.set_prefix_sigs(&value.tokens, c) {
-                    // Too few tokens to ever reach overlap σ+1: the
-                    // predicate holds against everything.
-                    PredSigs::Sigs(s) if s.is_empty() => PredSigs::Sigs(Vec::new()),
-                    other => other,
-                }
-            }
-            SimilarityFn::Jaccard | SimilarityFn::Dice | SimilarityFn::Cosine => {
-                if sigma < 0.0 {
-                    return PredSigs::Wildcard;
-                }
-                if sigma >= 1.0 {
-                    return PredSigs::Sigs(Vec::new()); // f ≤ 1 always holds
-                }
-                if value.tokens.is_empty() {
-                    // Empty vs empty has similarity 1 > σ — must verify.
-                    return PredSigs::Sigs(vec![mix64(0xE117)]);
-                }
-                if sigma == 0.0 {
-                    // f ≤ 0 ⇔ no common token: every token is a signature.
-                    return PredSigs::Sigs(self.hash_tokens(&value.tokens));
-                }
-                let c = Self::set_overlap_bound(pred.func, sigma, value.tokens.len());
-                self.set_prefix_sigs(&value.tokens, c)
-            }
-            SimilarityFn::EditDistance => {
-                // d ≥ σ: scheme at θ' = ⌈σ⌉ − 1; no share ⇒ d > σ−1 ⇒ d ≥ σ.
-                let s = sigma.ceil() as i64 - 1;
-                if s < 0 {
-                    return PredSigs::Sigs(Vec::new()); // d ≥ σ ≤ 0 always
-                }
-                gram_prefix_sigs(value, s as usize)
-            }
-            SimilarityFn::EditSimilarity => {
-                if sigma < 0.0 {
-                    return PredSigs::Wildcard;
-                }
-                if sigma >= 1.0 {
-                    return PredSigs::Sigs(Vec::new());
-                }
-                if sigma == 0.0 {
-                    return PredSigs::Wildcard; // sim ≤ 0 needs verification
-                }
-                let len = value.char_len as usize;
-                if len == 0 {
-                    return PredSigs::Sigs(vec![mix64(0xE55)]);
-                }
-                let dmax = (((1.0 - sigma) * len as f64 / sigma) + FP_EPS).floor() as usize;
-                gram_prefix_sigs(value, dmax)
-            }
-            SimilarityFn::Ontology => {
-                if sigma < 0.0 {
-                    return PredSigs::Wildcard;
-                }
-                if sigma >= 1.0 {
-                    return PredSigs::Sigs(Vec::new());
-                }
-                match value.node {
-                    // Unmapped ⇒ similarity 0 ≤ σ against everything.
-                    None => PredSigs::Sigs(Vec::new()),
-                    Some(node) => {
-                        let tm = self.tau_for(pred.attr, sigma.max(f64::MIN_POSITIVE));
-                        let ont =
-                            self.group.ontology(pred.attr).expect("mapped node implies ontology");
-                        let sig = node_signature(ont, node, tm);
-                        PredSigs::Sigs(vec![mix64(0x0e70 ^ u64::from(sig) << 8)])
-                    }
-                }
-            }
-        }
-    }
-
     // ---- helpers ---------------------------------------------------------
 
     /// Per-value intersection lower bound implied by `f ≥ θ` for the
@@ -548,15 +438,10 @@ impl<'g> SigContext<'g> {
         PredSigs::Sigs(sorted[..plen].iter().map(|&t| mix64(0x70C ^ u64::from(t) << 8)).collect())
     }
 
-    /// Hashes every token of a set (the σ = 0 full-set signature).
-    fn hash_tokens(&self, tokens: &[TokenId]) -> Vec<u64> {
-        tokens.iter().map(|&t| mix64(0x70C ^ u64::from(t) << 8)).collect()
-    }
-
     /// `τ_min` for an ontology predicate: the minimum `τ_n` over every
     /// mapped node of this attribute in the group. Reads through the cache
     /// without writing, so signature rows can be generated from `&self` on
-    /// worker threads; the public entry points warm the cache first (see
+    /// worker threads; the entry points warm the cache first (see
     /// [`SigContext::warm_tau`]) so repeated lookups stay memoized.
     fn tau_for(&self, attr: usize, theta: f64) -> u32 {
         if let Some(&t) = self.tau_cache.get(&(attr, theta.to_bits())) {
@@ -568,20 +453,14 @@ impl<'g> SigContext<'g> {
     /// Ensures the `τ_min` value a predicate's signatures will need is in
     /// the cache — called once per predicate before row generation, which
     /// keeps [`SigContext::tau_for`] a pure read on the hot path.
-    fn warm_tau(&mut self, pred: &Predicate, polarity: Polarity) {
-        if pred.func != SimilarityFn::Ontology {
+    fn warm_tau(&mut self, pred: &Predicate) {
+        // A trivial predicate (θ ≤ 0) never reaches τ.
+        if pred.func != SimilarityFn::Ontology || pred.threshold <= 0.0 {
             return;
         }
-        let theta = match polarity {
-            Polarity::Positive if pred.threshold > 0.0 => pred.threshold,
-            Polarity::Negative if (0.0..1.0).contains(&pred.threshold) => {
-                pred.threshold.max(f64::MIN_POSITIVE)
-            }
-            _ => return, // trivial / unsatisfiable branches never reach τ
-        };
-        let key = (pred.attr, theta.to_bits());
+        let key = (pred.attr, pred.threshold.to_bits());
         if !self.tau_cache.contains_key(&key) {
-            let t = self.compute_tau(pred.attr, theta);
+            let t = self.compute_tau(pred.attr, pred.threshold);
             self.tau_cache.insert(key, t);
         }
     }
@@ -607,26 +486,15 @@ impl<'g> SigContext<'g> {
 
 /// The predicate subset a positive rule's composite tuples are built from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PositiveRulePlan {
+pub(crate) struct PositiveRulePlan {
     /// Indices into the rule's predicate list.
-    pub chosen: Vec<usize>,
+    pub(crate) chosen: Vec<usize>,
 }
 
 /// Whether a predicate is satisfied by every pair regardless of values
 /// (threshold-only check — mirrors the `Trivial` signature outcomes).
-fn is_trivially_true(pred: &Predicate, polarity: Polarity) -> bool {
-    match (polarity, pred.func) {
-        (Polarity::Positive, SimilarityFn::Overlap) => pred.threshold <= 0.0,
-        (
-            Polarity::Positive,
-            SimilarityFn::Jaccard
-            | SimilarityFn::Dice
-            | SimilarityFn::Cosine
-            | SimilarityFn::EditSimilarity
-            | SimilarityFn::Ontology,
-        ) => pred.threshold <= 0.0,
-        _ => false,
-    }
+fn is_trivially_true(pred: &Predicate) -> bool {
+    pred.func != SimilarityFn::EditDistance && pred.threshold <= 0.0
 }
 
 /// Folds one entity's per-predicate signatures into composite tuples under
@@ -695,10 +563,10 @@ fn compose_row(
 /// only when the probing value is at least as long. [`RuleSigs::rank`]
 /// orders the entities so that each pair is probed from one side only.
 #[derive(Debug, Clone)]
-pub struct RuleSigs {
+pub(crate) struct RuleSigs {
     /// Per entity, its index keys. `None` is a wildcard, which pairs with
     /// every entity; an empty set can never satisfy the rule.
-    pub index: Vec<Option<Vec<u64>>>,
+    pub(crate) index: Vec<Option<Vec<u64>>>,
     /// Per entity, its probe keys when they differ from its index keys
     /// (empty for a wildcard).
     probe: Option<Vec<Vec<u64>>>,
@@ -707,7 +575,7 @@ pub struct RuleSigs {
     /// under a Pass-Join predicate first by the char count of its
     /// attribute, so a value probes for shorter partners and for as long
     /// ones of larger id.
-    pub rank: Vec<u32>,
+    pub(crate) rank: Vec<u32>,
 }
 
 impl RuleSigs {
@@ -718,7 +586,7 @@ impl RuleSigs {
     }
 
     /// Entity `e`'s probe keys; `None` for a wildcard.
-    pub fn probe(&self, e: usize) -> Option<&[u64]> {
+    pub(crate) fn probe(&self, e: usize) -> Option<&[u64]> {
         let own = self.index[e].as_deref()?;
         Some(self.probe.as_ref().map_or(own, |probe| &probe[e]))
     }
@@ -1001,7 +869,7 @@ mod tests {
         let mut ctx = SigContext::new(&g);
         let pred = Predicate::new(1, SimilarityFn::Overlap, 2.0);
         // KATARA has 6 authors → prefix 6-2+1 = 5 signatures.
-        let s = ctx.predicate_sigs(g.entity(1), &pred, Polarity::Positive);
+        let s = ctx.predicate_sigs(g.entity(1), &pred);
         assert_eq!(sigs(&s).len(), 5);
     }
 
@@ -1013,7 +881,7 @@ mod tests {
         let g = b.build();
         let mut ctx = SigContext::new(&g);
         let pred = Predicate::new(0, SimilarityFn::Overlap, 2.0);
-        let s = ctx.predicate_sigs(g.entity(0), &pred, Polarity::Positive);
+        let s = ctx.predicate_sigs(g.entity(0), &pred);
         assert!(sigs(&s).is_empty());
     }
 
@@ -1022,20 +890,10 @@ mod tests {
         let g = figure1_group();
         let mut ctx = SigContext::new(&g);
         let pred = Predicate::new(1, SimilarityFn::Overlap, 0.0);
-        assert_eq!(ctx.predicate_sigs(g.entity(0), &pred, Polarity::Positive), PredSigs::Trivial);
+        assert_eq!(ctx.predicate_sigs(g.entity(0), &pred), PredSigs::Trivial);
         // A rule of only trivial predicates indexes nothing → wildcard.
         let rule = Rule::positive(vec![pred]);
         assert!(ctx.positive_rule_signatures(&rule).index.iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn negative_overlap_zero_uses_full_token_set() {
-        let g = figure1_group();
-        let mut ctx = SigContext::new(&g);
-        let pred = Predicate::new(1, SimilarityFn::Overlap, 0.0);
-        let s = ctx.predicate_sigs(g.entity(1), &pred, Polarity::Negative);
-        // θ' = 1 → prefix = all 6 authors.
-        assert_eq!(sigs(&s).len(), 6);
     }
 
     #[test]
@@ -1045,13 +903,13 @@ mod tests {
         let pred = Predicate::new(2, SimilarityFn::Ontology, 0.75);
         // SIGMOD (entity 1) and VLDB (entity 2) and ICDE (entity 3) share a
         // database node signature.
-        let s1 = sigs(&ctx.predicate_sigs(g.entity(1), &pred, Polarity::Positive)).clone();
-        let s2 = sigs(&ctx.predicate_sigs(g.entity(2), &pred, Polarity::Positive)).clone();
-        let s3 = sigs(&ctx.predicate_sigs(g.entity(3), &pred, Polarity::Positive)).clone();
+        let s1 = sigs(&ctx.predicate_sigs(g.entity(1), &pred)).clone();
+        let s2 = sigs(&ctx.predicate_sigs(g.entity(2), &pred)).clone();
+        let s3 = sigs(&ctx.predicate_sigs(g.entity(3), &pred)).clone();
         assert_eq!(s1, s2);
         assert_eq!(s1, s3);
         // The chemistry venue maps elsewhere.
-        let s5 = sigs(&ctx.predicate_sigs(g.entity(5), &pred, Polarity::Positive)).clone();
+        let s5 = sigs(&ctx.predicate_sigs(g.entity(5), &pred)).clone();
         assert_ne!(s1, s5);
     }
 
@@ -1086,38 +944,6 @@ mod tests {
                         assert!(
                             all.pairs(i, j),
                             "pair ({i},{j}) satisfies {rule} but sigs disjoint"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// The negative soundness property: per-predicate disjoint signatures
-    /// imply the negative rule holds.
-    #[test]
-    fn negative_filter_sound_on_figure1() {
-        let g = figure1_group();
-        let (_, neg) = paper_rules();
-        let mut ctx = SigContext::new(&g);
-        for rule in &neg {
-            let all: Vec<Vec<PredSigs>> = ctx.rule_sigs_negative_all(rule, 1);
-            for i in 0..g.len() {
-                for j in 0..g.len() {
-                    if i == j {
-                        continue;
-                    }
-                    let disjoint_everywhere =
-                        all[i].iter().zip(all[j].iter()).all(|(a, b)| match (a, b) {
-                            (PredSigs::Sigs(a), PredSigs::Sigs(b)) => {
-                                !a.iter().any(|x| b.contains(x))
-                            }
-                            _ => false, // wildcard/trivial: cannot conclude
-                        });
-                    if disjoint_everywhere {
-                        assert!(
-                            rule.eval(&g, g.entity(i), g.entity(j)),
-                            "pair ({i},{j}) had disjoint sigs but {rule} does not hold"
                         );
                     }
                 }
@@ -1267,7 +1093,7 @@ mod tests {
 
     /// The q-gram prefix hashes char windows in place; its output is the
     /// sorted hash of each distinct `qgrams` gram string, truncated: the
-    /// keys the live engine and negative edit predicates emitted before.
+    /// keys the live engine emitted before.
     #[test]
     fn gram_prefix_matches_qgram_strings() {
         let mut rng = crate::dime_plus::tests::SplitMix64(0x9A11);
@@ -1385,58 +1211,8 @@ mod tests {
             }
         }
 
-        /// Negative ontology soundness on a random tree: per-predicate
-        /// signature disjointness implies the predicate holds.
-        #[test]
-        fn prop_ontology_negative_sound(
-            assignments in proptest::collection::vec(0usize..12, 2..10),
-            sigma in 0.05f64..0.95,
-        ) {
-            use dime_ontology::Ontology;
-            use std::sync::Arc;
-            // Whole values never auto-map, so assign ontology nodes directly.
-            let mut b2 = GroupBuilder::new(Schema::new([("V", TokenizerKind::Whole)]));
-            let mut ont2 = Ontology::new("root");
-            let mut nodes2 = Vec::new();
-            for f in 0..3 {
-                for s in 0..2 {
-                    for v in 0..2 {
-                        nodes2.push(ont2.add_path(&[
-                            &format!("f{f}"), &format!("s{f}{s}"), &format!("v{f}{s}{v}"),
-                        ]));
-                    }
-                }
-            }
-            b2.attach_ontology("V", Arc::new(ont2));
-            for (i, &a) in assignments.iter().enumerate() {
-                b2.add_entity_with_nodes(
-                    &[format!("value-{i}").as_str()],
-                    &[Some(nodes2[a % nodes2.len()])],
-                );
-            }
-            let g = b2.build();
-            let mut ctx = SigContext::new(&g);
-            let pred = Predicate::new(0, SimilarityFn::Ontology, sigma);
-            let rule = Rule::negative(vec![pred]);
-            let all: Vec<Vec<PredSigs>> = ctx.rule_sigs_negative_all(&rule, 1);
-            for i in 0..g.len() {
-                for j in 0..g.len() {
-                    if i == j { continue; }
-                    let disjoint = match (&all[i][0], &all[j][0]) {
-                        (PredSigs::Sigs(a), PredSigs::Sigs(b)) => !a.iter().any(|x| b.contains(x)),
-                        _ => false,
-                    };
-                    if disjoint {
-                        prop_assert!(
-                            rule.eval(&g, g.entity(i), g.entity(j)),
-                            "disjoint node sigs but ontology sim > {sigma}"
-                        );
-                    }
-                }
-            }
-        }
-
-        /// Same two properties on random author-list groups.
+        /// Overlap filter completeness on random author-list groups, empty
+        /// lists included.
         #[test]
         fn prop_filter_properties_random(lists in proptest::collection::vec(
             proptest::collection::vec(0u32..12, 0..6), 2..12), theta in 1usize..4) {
@@ -1449,21 +1225,11 @@ mod tests {
             let g = b.build();
             let mut ctx = SigContext::new(&g);
             let pos = Rule::positive(vec![Predicate::new(0, SimilarityFn::Overlap, theta as f64)]);
-            let neg = Rule::negative(vec![Predicate::new(0, SimilarityFn::Overlap, theta as f64 - 1.0)]);
             let psigs = ctx.positive_rule_signatures(&pos);
-            let nsigs = ctx.rule_sigs_negative_all(&neg, 1);
             for i in 0..g.len() {
                 for j in 0..g.len() {
-                    if i == j { continue; }
-                    if pos.eval(&g, g.entity(i), g.entity(j)) {
+                    if i != j && pos.eval(&g, g.entity(i), g.entity(j)) {
                         prop_assert!(psigs.pairs(i, j));
-                    }
-                    let disjoint = nsigs[i].iter().zip(nsigs[j].iter()).all(|(a, b)| match (a, b) {
-                        (PredSigs::Sigs(a), PredSigs::Sigs(b)) => !a.iter().any(|x| b.contains(x)),
-                        _ => false,
-                    });
-                    if disjoint {
-                        prop_assert!(neg.eval(&g, g.entity(i), g.entity(j)));
                     }
                 }
             }

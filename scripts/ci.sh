@@ -170,9 +170,11 @@ run_perfbench_selftest() {
 # positive phase (0.64M candidate pairs, of which the edit bound refutes
 # 0.40M while they are gathered, before any is verified),
 # scholar's mostly the negative phase (2.54M negative pairs), so between
-# them both phases of the engine are pinned. By time, scholar's
-# discovery is led by flag and index_probe: the negative phase decides
-# its pairs from counts.
+# them both phases of the engine are pinned. The negative phase walks
+# each partition's pairs in the naive engine's id order and stops at the
+# first satisfied one, so core.negative_pairs_verified counts exactly the
+# pairs the naive engine evaluates; it decides them from counts, one pass
+# over the pivot's token postings per member.
 perfbench_pinned() { # workload '{"core.<counter>": value, ...}'
   python3 perfbench/run.py --workload "$1" --seed 1101 --seconds 2 --trace 1 \
     > "$SCRATCH/perfbench-counters-$1.out" || return 1
@@ -195,7 +197,7 @@ run_perfbench_counters() {
   perfbench_pinned dbgen '{
     "core.candidate_pairs": 639344,
     "core.pairs_verified": 180819,
-    "core.negative_pairs_verified": 4236,
+    "core.negative_pairs_verified": 10241,
     "core.index_probes": 55709,
     "core.pairs_skipped_transitivity": 54757,
     "core.uf_merges": 16606
@@ -203,7 +205,7 @@ run_perfbench_counters() {
   perfbench_pinned scholar '{
     "core.candidate_pairs": 787759,
     "core.pairs_verified": 2896,
-    "core.negative_pairs_verified": 2541162,
+    "core.negative_pairs_verified": 2541253,
     "core.index_probes": 1456,
     "core.pairs_skipped_transitivity": 784863,
     "core.uf_merges": 2896

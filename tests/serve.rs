@@ -42,14 +42,6 @@ fn reference_report(rows: &[(String, String)]) -> Value {
     discovery_to_json(&group, &d)
 }
 
-/// Strips the `witnesses` field: witness pairs legitimately differ
-/// between engines (any pivot member violating the rule is a valid
-/// witness), exactly like `Discovery`'s own `PartialEq`.
-fn comparable(mut report: Value) -> Value {
-    report.as_object_mut().expect("report object").remove("witnesses");
-    report
-}
-
 /// Eight concurrent clients, each driving its own session over one
 /// persistent connection with mixed traffic — batched adds, removals,
 /// scrollbar reads, stats, error probes — asserting that every discovery
@@ -106,11 +98,7 @@ fn concurrent_clients_see_batch_identical_discoveries() {
                     }
 
                     let report = client.discovery(session).expect("discovery");
-                    assert_eq!(
-                        comparable(report.clone()),
-                        comparable(reference_report(&rows)),
-                        "client {c}, round {i}"
-                    );
+                    assert_eq!(report, reference_report(&rows), "client {c}, round {i}");
 
                     // The scrollbar step must mirror the full report.
                     let step = client.scrollbar(session, 0).expect("scrollbar");
@@ -127,7 +115,7 @@ fn concurrent_clients_see_batch_identical_discoveries() {
                 assert!(stats["flag_latency"]["count"].as_u64().unwrap() >= 6);
 
                 let report = client.discovery(session).expect("final discovery");
-                assert_eq!(comparable(report), comparable(reference_report(&rows)));
+                assert_eq!(report, reference_report(&rows));
                 client.close_session(session).expect("close");
             })
         })
@@ -176,11 +164,8 @@ fn removing_a_nonexistent_entity_is_a_structured_error() {
     // The error left no half-applied state behind.
     let report = client.discovery(session).expect("session still serves");
     assert_eq!(
-        comparable(report),
-        comparable(reference_report(&[
-            ("t".into(), "ann, bob".into()),
-            ("t".into(), "ann, bob".into()),
-        ]))
+        report,
+        reference_report(&[("t".into(), "ann, bob".into()), ("t".into(), "ann, bob".into()),])
     );
 
     handle.shutdown();
@@ -235,18 +220,18 @@ fn shutdown_drains_every_inflight_request() {
     handle.shutdown();
 
     // Every single request written before shutdown must get its response.
-    let expected = comparable(reference_report(&[
+    let expected = reference_report(&[
         ("t".into(), "ann, bob".into()),
         ("t".into(), "ann, bob, carl".into()),
         ("t".into(), "dora".into()),
-    ]));
+    ]);
     for stream in pending.drain(..) {
         let mut reader = FrameReader::new(BufReader::new(stream), 1 << 20);
         match reader.read_frame().expect("drained read") {
             Frame::Line(line) => {
                 let v: Value = serde_json::from_str(&line).expect("response JSON");
                 let report = v.get("ok").cloned().expect("ok response");
-                assert_eq!(comparable(report), expected);
+                assert_eq!(report, expected);
             }
             other => panic!("dropped in-flight response: {other:?}"),
         }
@@ -326,7 +311,7 @@ fn pipelined_adds_to_one_session_answer_in_order() {
             by_id.into_iter().map(|r| r.expect("every new id assigned")).collect();
         let mut client = Client::connect(addr).expect("connect");
         let report = client.discovery(session).expect("discovery");
-        assert_eq!(comparable(report), comparable(reference_report(&rows)), "workers={workers}");
+        assert_eq!(report, reference_report(&rows), "workers={workers}");
         drop(client);
         handle.shutdown();
         runner.join().expect("server thread").expect("server run");

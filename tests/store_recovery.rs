@@ -56,13 +56,6 @@ fn reference_report(rows: &[(String, String)]) -> Value {
     discovery_to_json(&group, &discover_fast(&group, &pos, &neg))
 }
 
-/// Witness pairs legitimately differ between engines; everything else in
-/// the report must match exactly.
-fn comparable(mut report: Value) -> Value {
-    report.as_object_mut().expect("report object").remove("witnesses");
-    report
-}
-
 fn row(t: &str, a: &str) -> (String, String) {
     (t.to_string(), a.to_string())
 }
@@ -103,15 +96,15 @@ fn sigkill_and_restart_recover_bit_identical_sessions() {
     let closed = client.create_session(&doc, RULES).expect("create closed");
     client.close_session(closed).expect("close");
 
-    let before = comparable(client.discovery(session).expect("discovery"));
-    assert_eq!(before, comparable(reference_report(&rows)), "sanity: live server serves batch");
+    let before = client.discovery(session).expect("discovery");
+    assert_eq!(before, reference_report(&rows), "sanity: live server serves batch");
     child.kill().expect("SIGKILL");
     child.wait().expect("reap");
 
     // ---- Second incarnation: same directory, recovered state.
     let (mut child, addr) = spawn_server(&dir);
     let mut client = Client::connect(addr).expect("reconnect");
-    let after = comparable(client.discovery(session).expect("recovered discovery"));
+    let after = client.discovery(session).expect("recovered discovery");
     assert_eq!(after, before, "recovery must serve a bit-identical discovery");
 
     let stats = client.stats(None).expect("stats");
@@ -126,15 +119,15 @@ fn sigkill_and_restart_recover_bit_identical_sessions() {
     rows.push(row("late arrival", "ann, bob"));
     client.remove_entity(session, 0).expect("remove seed");
     rows.remove(0);
-    let before = comparable(client.discovery(session).expect("discovery"));
-    assert_eq!(before, comparable(reference_report(&rows)));
+    let before = client.discovery(session).expect("discovery");
+    assert_eq!(before, reference_report(&rows));
     child.kill().expect("second SIGKILL");
     child.wait().expect("reap");
 
     // ---- Third incarnation: still identical, then a clean shutdown.
     let (mut child, addr) = spawn_server(&dir);
     let mut client = Client::connect(addr).expect("reconnect again");
-    assert_eq!(comparable(client.discovery(session).expect("discovery")), before);
+    assert_eq!(client.discovery(session).expect("discovery"), before);
     client.shutdown().expect("shutdown");
     child.wait().expect("drain");
     std::fs::remove_dir_all(&dir).expect("cleanup");

@@ -21,9 +21,10 @@
 //! Flags: `--seed S` (default 42). Runtime ≈ 1–2 minutes.
 //!
 //! `--smoke` runs only a seconds-scale engine-agreement check (the three
-//! engines on a tiny DBGen group, with a generous wall-clock ceiling) —
-//! the CI bench-smoke stage uses it to guard the engines on every push
-//! without paying for the full reproduction suite.
+//! batch engines and the live engine, created, grown by adds and reopened,
+//! on a tiny DBGen group, with a generous wall-clock ceiling) — the CI
+//! bench-smoke stage uses it to guard the engines on every push without
+//! paying for the full reproduction suite.
 //!
 //! `--analyzer` times `dime-check`'s whole-workspace run (lexer → item
 //! parser → call graph → every rule) over this repository and writes the
@@ -36,13 +37,15 @@ use dime_bench::{
     run_cr_fixed, run_dime_best, run_kmeans, scrollbar_metrics, Dataset, CR_THRESHOLDS,
 };
 use dime_core::{
-    discover_fast, discover_naive, discover_parallel, PartitionStats, Polarity, SimilarityFn,
+    discover_fast, discover_naive, discover_parallel, Discovery, Group, GroupBuilder,
+    IncrementalDime, PartitionStats, Polarity, Rule, SimilarityFn,
 };
 use dime_data::{
     amazon_category, amazon_rules, dbgen_group, dbgen_rules, scholar_attr, scholar_page,
     scholar_rules, AmazonConfig, DbgenConfig, ExampleSet, ScholarConfig,
 };
 use dime_metrics::Prf;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn check(name: &str, ok: bool, detail: String) -> bool {
@@ -50,9 +53,10 @@ fn check(name: &str, ok: bool, detail: String) -> bool {
     ok
 }
 
-/// The CI smoke check: the three engines must agree bit-for-bit on a tiny
-/// generated group, inside a generous time ceiling (the run takes well
-/// under a second; the ceiling only catches pathological slowdowns).
+/// The CI smoke check: the three batch engines and the live engine must
+/// agree bit-for-bit on a tiny generated group, inside a generous time
+/// ceiling (the run takes well under a second; the ceiling only catches
+/// pathological slowdowns).
 fn run_smoke(seed: u64) -> bool {
     const CEILING_SECS: f64 = 30.0;
     let (pos, neg) = dbgen_rules();
@@ -61,16 +65,51 @@ fn run_smoke(seed: u64) -> bool {
     let naive = discover_naive(&lg.group, &pos, &neg);
     let fast = discover_fast(&lg.group, &pos, &neg);
     let parallel = discover_parallel(&lg.group, &pos, &neg, 0);
+    let [created, grown, reopened] = live_discoveries(&lg.group, &pos, &neg);
     let wall = t0.elapsed().as_secs_f64();
     let mut ok = true;
     ok &= check("smoke naive == fast", naive == fast, "DBGen 600".into());
     ok &= check("smoke fast == parallel", fast == parallel, "DBGen 600".into());
+    ok &= check("smoke live new == naive", created == naive, "DBGen 600".into());
+    ok &= check("smoke live adds == naive", grown == naive, "DBGen 600, 600 adds".into());
+    ok &= check("smoke live reopen == naive", reopened == naive, "DBGen 600".into());
     ok &= check(
         "smoke under time ceiling",
         wall <= CEILING_SECS,
         format!("{wall:.2}s (ceiling {CEILING_SECS}s)"),
     );
     ok
+}
+
+/// The live engine three ways over `group`'s rows, each engine's
+/// discovery: created over the group, grown from an empty group by one add
+/// per row (re-keying each time the session doubles, nine times over 600
+/// rows), and reopened from those rows.
+fn live_discoveries(group: &Group, pos: &[Rule], neg: &[Rule]) -> [Discovery; 3] {
+    let mut empty = GroupBuilder::new(group.schema().clone());
+    for (i, def) in group.schema().attrs().iter().enumerate() {
+        if let Some(ont) = group.ontology(i) {
+            empty.attach_ontology(&def.name, Arc::new(ont.clone()));
+        }
+    }
+    let empty = empty.build();
+    let rows: Vec<(Vec<String>, Option<Vec<_>>)> = group
+        .entities()
+        .iter()
+        .map(|e| {
+            let values = e.values.iter().map(|v| v.text.clone()).collect();
+            (values, Some(e.values.iter().map(|v| v.node).collect()))
+        })
+        .collect();
+    let engine = |group: Group| IncrementalDime::new(group, pos.to_vec(), neg.to_vec());
+    let mut created = engine(group.clone());
+    let mut grown = engine(empty.clone());
+    for (values, nodes) in &rows {
+        let refs: Vec<&str> = values.iter().map(String::as_str).collect();
+        grown.add_entity_with_nodes(&refs, nodes.as_deref().expect("every row carries its nodes"));
+    }
+    let mut reopened = IncrementalDime::reopen(empty, pos.to_vec(), neg.to_vec(), &rows);
+    [created.discovery(), grown.discovery(), reopened.discovery()]
 }
 
 /// The analyzer timing run: `dime_check::run_workspace` over this

@@ -56,10 +56,11 @@ fn slice<T>(buf: &[T], span: Span) -> &[T] {
 /// The batch engine builds one per discovery run (inside the
 /// `signature_build` phase); the live engine ([`crate::IncrementalDime`])
 /// keeps one across its lifetime, [`VerifyArena::push`]ing each added
-/// entity and rebuilding after a removal. Rules are evaluated by entity id
-/// via [`VerifyArena::eval_rule`] / [`VerifyArena::eval_compiled`]. The
-/// arena owns plain `Vec`s only, so shared references are `Sync` and the
-/// engine's scoped workers can verify against one arena concurrently.
+/// entity and cutting each removed one out ([`VerifyArena::remove`]).
+/// Rules are compiled against it ([`VerifyArena::compile`]) and evaluated
+/// by entity id via [`VerifyArena::eval_compiled`]. The arena owns plain
+/// `Vec`s only, so shared references are `Sync` and the engine's scoped
+/// workers can verify against one arena concurrently.
 #[derive(Debug, PartialEq)]
 pub(crate) struct VerifyArena {
     /// Attributes per entity (`slot = eid · attrs + attr`).
@@ -68,7 +69,7 @@ pub(crate) struct VerifyArena {
     has_ontology: Vec<bool>,
     token_span: Vec<Span>,
     tokens: Vec<TokenId>,
-    /// Valid only where `is_ascii` (empty span otherwise).
+    /// Valid only where `is_ascii` (empty otherwise).
     byte_span: Vec<Span>,
     bytes: Vec<u8>,
     /// Valid for every slot (ASCII text is re-encoded as chars too, so
@@ -134,7 +135,7 @@ impl VerifyArena {
                 self.bytes.extend_from_slice(v.text.as_bytes());
                 self.byte_span.push((start as u32, v.text.len() as u32));
             } else {
-                self.byte_span.push((0, 0));
+                self.byte_span.push((self.bytes.len() as u32, 0));
             }
             let start = self.chars.len();
             self.chars.extend(v.text.chars());
@@ -161,6 +162,21 @@ impl VerifyArena {
         }
     }
 
+    /// Cuts entity `eid` out, compacting ids like [`Group::remove_entity`]:
+    /// the arena then equals one built from the compacted group.
+    pub(crate) fn remove(&mut self, eid: usize) {
+        let slots = eid * self.attrs..(eid + 1) * self.attrs;
+        self.tokens.drain(cut(&mut self.token_span, slots.clone()));
+        self.bytes.drain(cut(&mut self.byte_span, slots.clone()));
+        self.chars.drain(cut(&mut self.char_span, slots.clone()));
+        let blocks = cut(&mut self.block_span, slots.clone());
+        self.block_keys.drain(blocks.clone());
+        self.block_words.drain(blocks);
+        self.anc.drain(cut(&mut self.anc_span, slots.clone()));
+        self.char_len.drain(slots.clone());
+        self.is_ascii.drain(slots);
+    }
+
     /// Lowers a rule against this arena for the hot candidate loops:
     /// [`EditCheck`] cutoffs are tabulated for every reachable `max_len`
     /// (replacing the per-pair guess-then-adjust derivation with one
@@ -169,52 +185,39 @@ impl VerifyArena {
     /// set/ontology predicates are split from the `O(k·len)` edit kernels so
     /// they run first. A conjunction's evaluation order is unobservable, so
     /// the boolean (and every counter downstream) is identical to
-    /// [`Self::eval_rule`].
+    /// [`Rule::eval`].
     ///
     /// The histograms live in the compiled rule, not the arena: only rules
-    /// with edit predicates pay for them, and only while they gather and
-    /// verify.
-    pub(crate) fn compile<'r>(&self, rule: &'r Rule) -> CompiledRule<'r> {
-        let cap = self.char_len.iter().copied().max().unwrap_or(0) as usize;
+    /// with edit predicates pay for them.
+    pub(crate) fn compile(&self, rule: &Rule) -> CompiledRule {
+        let entities = self.char_len.len() / self.attrs;
         let (mut sets, mut edits) = (Vec::new(), Vec::new());
-        for p in &rule.predicates {
-            let checks = match p.func {
+        for &pred in &rule.predicates {
+            let checks = match pred.func {
                 SimilarityFn::EditDistance => {
-                    EditChecks::Fixed(edit_distance_check(p.threshold, rule.polarity))
+                    EditChecks::Fixed(edit_distance_check(pred.threshold, rule.polarity))
                 }
-                SimilarityFn::EditSimilarity => EditChecks::ByMax(
-                    (0..=cap)
-                        .map(|m| match m {
-                            // Two empty strings: similarity 1 by definition.
-                            0 if p.holds(1.0, rule.polarity) => EditCheck::Always,
-                            0 => EditCheck::Never,
-                            _ => edit_similarity_check(p.threshold, rule.polarity, m),
-                        })
-                        .collect(),
-                ),
+                SimilarityFn::EditSimilarity => EditChecks::ByMax(Vec::new()),
                 _ => {
-                    sets.push(p);
+                    sets.push(pred);
                     continue;
                 }
             };
-            let entities = self.char_len.len() / self.attrs;
-            let hist = (0..entities)
-                .map(|e| {
-                    let span = self.char_span[e * self.attrs + p.attr];
-                    char_histogram(slice(&self.chars, span).iter().copied())
-                })
-                .collect();
-            edits.push(CompiledEdit { attr: p.attr, checks, hist });
+            edits.push(CompiledEdit { pred, checks, hist: Vec::with_capacity(entities) });
         }
-        CompiledRule { polarity: rule.polarity, sets, edits }
+        let mut compiled = CompiledRule { polarity: rule.polarity, sets, edits };
+        for e in 0..entities {
+            compiled.push(self, e);
+        }
+        compiled
     }
 
-    /// [`Self::eval_rule`] over a pre-lowered rule — the same boolean with
-    /// no per-pair cutoff derivation. Every edit predicate's bag-distance
-    /// bound runs first ([`Self::edit_bounds`]); a pair that survives then
-    /// takes the set/ontology kernels, and Myers only for the edit
-    /// predicates the bound left open.
-    pub(crate) fn eval_compiled(&self, cr: &CompiledRule<'_>, a: usize, b: usize) -> bool {
+    /// The same boolean as [`Rule::eval`] on entities `a` and `b`, over a
+    /// pre-lowered rule, with no per-pair cutoff derivation. Every edit
+    /// predicate's bag-distance bound runs first ([`Self::edit_bounds`]); a
+    /// pair that survives then takes the set/ontology kernels, and Myers
+    /// only for the edit predicates the bound left open.
+    pub(crate) fn eval_compiled(&self, cr: &CompiledRule, a: usize, b: usize) -> bool {
         let Some(settled) = self.edit_bounds(cr, a, b) else {
             return false;
         };
@@ -227,13 +230,13 @@ impl VerifyArena {
     /// Always `true` for a rule without edit predicates. The positive
     /// phase drops the pairs this refutes while it gathers them.
     #[inline]
-    pub(crate) fn bound_open(&self, cr: &CompiledRule<'_>, a: usize, b: usize) -> bool {
+    pub(crate) fn bound_open(&self, cr: &CompiledRule, a: usize, b: usize) -> bool {
         cr.edits.is_empty() || self.edit_bounds(cr, a, b).is_some()
     }
 
     /// A compiled rule's edit predicates alone on `(a, b)`: the bag bound,
     /// then the kernel for each predicate it left open.
-    fn eval_edits(&self, cr: &CompiledRule<'_>, a: usize, b: usize) -> bool {
+    fn eval_edits(&self, cr: &CompiledRule, a: usize, b: usize) -> bool {
         cr.edits.is_empty()
             || self
                 .edit_bounds(cr, a, b)
@@ -241,10 +244,10 @@ impl VerifyArena {
     }
 
     /// The edit kernels of every predicate not in the `settled` mask.
-    fn edit_kernels(&self, cr: &CompiledRule<'_>, settled: u64, a: usize, b: usize) -> bool {
+    fn edit_kernels(&self, cr: &CompiledRule, settled: u64, a: usize, b: usize) -> bool {
         cr.edits.iter().enumerate().all(|(i, e)| {
             settled & bound_bit(i) != 0 || {
-                let (sa, sb) = (a * self.attrs + e.attr, b * self.attrs + e.attr);
+                let (sa, sb) = (a * self.attrs + e.pred.attr, b * self.attrs + e.pred.attr);
                 self.eval_edit(e.pair_check(&self.char_len, sa, sb), sa, sb)
             }
         })
@@ -255,11 +258,11 @@ impl VerifyArena {
     /// pivot *position* is an index into it.
     pub(crate) fn pivot_counts<'a>(
         &'a self,
-        cr: &'a CompiledRule<'a>,
+        cr: &'a CompiledRule,
         pivot: &'a [usize],
     ) -> PivotCounts<'a> {
         let (mut postings, mut ontologies) = (Vec::<TokenPostings<'a>>::new(), Vec::new());
-        for &p in &cr.sets {
+        for p in &cr.sets {
             if p.func == SimilarityFn::Ontology {
                 ontologies.push(OntologyClasses::new(self, p, pivot));
             } else if let Some(post) = postings.iter_mut().find(|t| t.attr == p.attr) {
@@ -285,10 +288,10 @@ impl VerifyArena {
     /// Sound because the bag distance never exceeds the edit distance
     /// (see [`dime_text::bag_distance`]): `bag > k` implies `d > k`, and
     /// `bag ≥ k` implies `d ≥ k`.
-    fn edit_bounds(&self, cr: &CompiledRule<'_>, a: usize, b: usize) -> Option<u64> {
+    fn edit_bounds(&self, cr: &CompiledRule, a: usize, b: usize) -> Option<u64> {
         let mut settled = 0u64;
         for (i, e) in cr.edits.iter().enumerate() {
-            let (sa, sb) = (a * self.attrs + e.attr, b * self.attrs + e.attr);
+            let (sa, sb) = (a * self.attrs + e.pred.attr, b * self.attrs + e.pred.attr);
             let bag = || bag_distance(&e.hist[a], &e.hist[b]);
             match e.pair_check(&self.char_len, sa, sb) {
                 EditCheck::Never => return None,
@@ -301,17 +304,8 @@ impl VerifyArena {
         Some(settled)
     }
 
-    /// Evaluates the rule's conjunction on a pair of entity ids; identical
-    /// boolean to `rule.eval(group, group.entity(a), group.entity(b))`.
-    ///
-    /// The live engine verifies through this uncompiled form: a compiled
-    /// rule's per-entity histograms would have to grow with every add. The
-    /// batch engine's candidate loops run [`Self::eval_compiled`], and the
-    /// tests pit the two against each other.
-    pub(crate) fn eval_rule(&self, rule: &Rule, a: usize, b: usize) -> bool {
-        rule.predicates.iter().all(|p| self.eval_pred(p, rule.polarity, a, b))
-    }
-
+    /// One predicate on a pair of entity ids; the same boolean as
+    /// [`Predicate::eval`].
     fn eval_pred(&self, p: &Predicate, polarity: Polarity, a: usize, b: usize) -> bool {
         let sa = a * self.attrs + p.attr;
         let sb = b * self.attrs + p.attr;
@@ -448,7 +442,7 @@ fn set_similarity(func: SimilarityFn, inter: usize, la: usize, lb: usize) -> f64
 /// same boolean.
 pub(crate) struct PivotCounts<'a> {
     arena: &'a VerifyArena,
-    rule: &'a CompiledRule<'a>,
+    rule: &'a CompiledRule,
     pivot: &'a [usize],
     /// One per attribute carrying a set predicate.
     postings: Vec<TokenPostings<'a>>,
@@ -633,17 +627,48 @@ impl PivotScan<'_, '_> {
 /// predicates with tabulated cutoffs and per-entity bags. Owns only plain
 /// data, so shared references are `Sync` and one compiled rule serves
 /// every parallel verify shard.
-pub(crate) struct CompiledRule<'r> {
+pub(crate) struct CompiledRule {
     polarity: Polarity,
     /// Set and ontology predicates, in authored order.
-    sets: Vec<&'r Predicate>,
+    sets: Vec<Predicate>,
     /// Edit predicates, in authored order.
     edits: Vec<CompiledEdit>,
 }
 
+impl CompiledRule {
+    /// Takes the arena's entity `eid`, its last: each edit predicate gets
+    /// its bag, and an `edit_sim` cutoff table grows to its char count.
+    pub(crate) fn push(&mut self, arena: &VerifyArena, eid: usize) {
+        let polarity = self.polarity;
+        for e in &mut self.edits {
+            let slot = eid * arena.attrs + e.pred.attr;
+            debug_assert_eq!(e.hist.len(), eid, "compiled rule out of step with arena");
+            e.hist.push(char_histogram(slice(&arena.chars, arena.char_span[slot]).iter().copied()));
+            if let EditChecks::ByMax(table) = &mut e.checks {
+                let p = e.pred;
+                for m in table.len()..=arena.char_len[slot] as usize {
+                    table.push(match m {
+                        // Two empty strings: similarity 1 by definition.
+                        0 if p.holds(1.0, polarity) => EditCheck::Always,
+                        0 => EditCheck::Never,
+                        _ => edit_similarity_check(p.threshold, polarity, m),
+                    });
+                }
+            }
+        }
+    }
+
+    /// Drops entity `eid`'s bags, compacting ids like [`VerifyArena::remove`].
+    pub(crate) fn remove(&mut self, eid: usize) {
+        for e in &mut self.edits {
+            e.hist.remove(eid);
+        }
+    }
+}
+
 /// One edit predicate lowered for the verify loop.
 struct CompiledEdit {
-    attr: usize,
+    pred: Predicate,
     checks: EditChecks,
     /// The bag of the predicate's attribute, per entity id.
     hist: Vec<CharHistogram>,
@@ -665,8 +690,20 @@ enum EditChecks {
     /// `EditDistance`: the cutoff is pair-independent.
     Fixed(EditCheck),
     /// `EditSimilarity`: cutoff indexed by the pair's larger char count,
-    /// covering `0..=max(char_len)` over the whole arena.
-    ByMax(Box<[EditCheck]>),
+    /// covering `0..=max(char_len)` over the entities pushed so far.
+    ByMax(Vec<EditCheck>),
+}
+
+/// Removes `slots` from `spans`, shifts the spans after them down by the
+/// length they covered, and returns the buffer range they covered for the
+/// caller to drain. Every span starts where the buffer ended when its
+/// value was pushed, so one entity's values are one contiguous range.
+fn cut(spans: &mut Vec<Span>, slots: std::ops::Range<usize>) -> std::ops::Range<usize> {
+    let at = slots.start;
+    let (start, _) = spans[at];
+    let len: u32 = spans.drain(slots).map(|s| s.1).sum();
+    spans[at..].iter_mut().for_each(|s| s.0 -= len);
+    start as usize..(start + len) as usize
 }
 
 /// The `settled` mask bit of edit predicate `i`; predicates past the 64th
@@ -738,11 +775,6 @@ mod tests {
                 for b in 0..g.len() {
                     let (ea, eb) = (g.entity(a), g.entity(b));
                     assert_eq!(
-                        arena.eval_rule(rule, a, b),
-                        rule.eval(&g, ea, eb),
-                        "eval diverged: {rule} on ({a}, {b})"
-                    );
-                    assert_eq!(
                         arena.eval_compiled(&compiled, a, b),
                         rule.eval(&g, ea, eb),
                         "compiled eval diverged: {rule} on ({a}, {b})"
@@ -777,11 +809,6 @@ mod tests {
                         let compiled = arena.compile(&rule);
                         for a in 0..g.len() {
                             for b in 0..g.len() {
-                                assert_eq!(
-                                    arena.eval_rule(&rule, a, b),
-                                    rule.eval(&g, g.entity(a), g.entity(b)),
-                                    "{func:?} θ={t} {polarity:?} on ({a}, {b})"
-                                );
                                 assert_eq!(
                                     arena.eval_compiled(&compiled, a, b),
                                     rule.eval(&g, g.entity(a), g.entity(b)),
@@ -833,7 +860,7 @@ mod tests {
         }
     }
 
-    /// Checks `eval_compiled ≡ eval_rule ≡ Rule::eval` for
+    /// Checks `eval_compiled ≡ Rule::eval` for
     /// `rule` on every ordered pair of `g`, and tallies what the
     /// bag-distance pass decided: `[refuted, settled, left open]` pairs.
     fn check_rule_on_all_pairs(g: &Group, arena: &VerifyArena, rule: &Rule) -> [usize; 3] {
@@ -843,7 +870,6 @@ mod tests {
             for b in 0..g.len() {
                 let (ea, eb) = (g.entity(a), g.entity(b));
                 let scalar = rule.eval(g, ea, eb);
-                assert_eq!(arena.eval_rule(rule, a, b), scalar, "eval: {rule} on ({a}, {b})");
                 assert_eq!(
                     arena.eval_compiled(&compiled, a, b),
                     scalar,

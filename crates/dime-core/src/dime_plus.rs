@@ -23,7 +23,7 @@
 //!   `B = 1/(C·P)` order are not used: that pass already decides a member
 //!   against the whole pivot (DESIGN.md §6).
 
-use crate::arena::VerifyArena;
+use crate::arena::{CompiledRule, VerifyArena};
 use crate::discover::{
     check_polarities, cumulate_steps, pick_pivot, Discovery, ScrollStep, Witness,
 };
@@ -163,7 +163,17 @@ pub fn discover_fast_traced(
     // ---- Step 1: partitions via sharded filter + verification.
     let uf = ConcurrentUnionFind::new(n);
     for (ri, rule) in positive.iter().enumerate() {
-        verify_positive_rule(&arena, &mut ctx, rule, &uf, config, workers, sink, ri);
+        let (compiled, sigs) = {
+            let _s = span(sink, "signature_build");
+            (
+                arena.compile(rule),
+                ctx.positive_rule_signatures_threaded(group, rule, workers, false),
+            )
+        };
+        verify_positive_rule(&arena, &compiled, &sigs, &uf, config, workers, sink, ri);
+        // Freeing the rule's keys is index work too.
+        let _s = span(sink, "index_probe");
+        drop(sigs);
     }
     // ---- Step 2: components + pivot partition.
     let (partitions, pivot) = {
@@ -187,12 +197,13 @@ pub fn discover_fast_traced(
 const BLOCK: usize = 64;
 
 /// Filter + verification for one positive rule: one gather-and-verify
-/// pass over the rule's postings.
+/// pass over the rule's postings, built from its keys `sigs` (the live
+/// engine's are symmetric). Returns how many pairs it verified; an empty
+/// group has none, and is not walked.
 ///
-/// The rule is compiled and its signatures built once. Entities `a` are
-/// sharded by residue class over the workers (one shard, inline, at one
-/// worker or below the cutoff), and each shard walks its entities in
-/// blocks of [`BLOCK`]:
+/// Entities `a` are sharded by residue class over the workers (one shard,
+/// inline, at one worker or below the cutoff), and each shard walks its
+/// entities in blocks of [`BLOCK`]:
 ///
 /// 1. **Gather** ([`Candidates::gather`]). Each `a` collects its later
 ///    partners from the postings, drops those connected to it in the root
@@ -217,28 +228,27 @@ const BLOCK: usize = 64;
 /// `verify` span. Each block's verification is also a `verify_worker`
 /// span on the thread that ran it.
 #[allow(clippy::too_many_arguments)] // internal engine body; `ri` and `sink` ride along
-fn verify_positive_rule(
+pub(crate) fn verify_positive_rule(
     arena: &VerifyArena,
-    ctx: &mut SigContext<'_>,
-    rule: &Rule,
+    compiled: &CompiledRule,
+    sigs: &RuleSigs,
     uf: &ConcurrentUnionFind,
     config: DimePlusConfig,
     workers: usize,
     sink: &dyn TraceSink,
     ri: usize,
-) {
-    let (compiled, sigs) = {
-        let _s = span(sink, "signature_build");
-        (arena.compile(rule), ctx.positive_rule_signatures_threaded(rule, workers))
-    };
-    let probe = span(sink, "index_probe");
+) -> u64 {
     let n = sigs.index.len();
+    if n == 0 {
+        return 0;
+    }
+    let probe = span(sink, "index_probe");
     // The forest as the rule finds it: gathering drops the pairs connected
     // here, the verify loop those connected since.
     let roots: Vec<u32> =
         (0..n).map(|x| if config.transitivity_skip { uf.find(x) } else { x } as u32).collect();
-    let open = |a: u32, b: u32| arena.bound_open(&compiled, a as usize, b as usize);
-    let candidates = Candidates::new(&sigs, roots, open);
+    let open = |a: u32, b: u32| arena.bound_open(compiled, a as usize, b as usize);
+    let candidates = Candidates::new(sigs, roots, open);
     drop(probe);
 
     let shards = if n < crate::par::SEQ_CUTOFF { 1 } else { workers };
@@ -263,7 +273,7 @@ fn verify_positive_rule(
                     continue;
                 }
                 tally.verified += 1;
-                if arena.eval_compiled(&compiled, a, b) {
+                if arena.eval_compiled(compiled, a, b) {
                     tally.hits += 1;
                     uf.union(a, b);
                 }
@@ -272,8 +282,8 @@ fn verify_positive_rule(
         vec![tally]
     });
     drop(pass);
+    let total = tallies.iter().fold(VerifyTally::default(), VerifyTally::fold);
     if sink.enabled() {
-        let total = tallies.iter().fold(VerifyTally::default(), VerifyTally::fold);
         let total_pairs = (n as u64) * (n as u64 - 1) / 2;
         let gathered = total.verified + total.skipped + total.pruned;
         let postings = &candidates.postings;
@@ -287,10 +297,10 @@ fn verify_positive_rule(
         sink.add("pairs_skipped_transitivity", total.skipped);
         sink.rule_hits(RuleKind::Positive, ri, total.hits);
     }
-    // Freeing the rule's keys and postings is index work too.
+    // Freeing the rule's postings is index work too.
     let _s = span(sink, "index_probe");
     drop(candidates);
-    drop(sigs);
+    total.verified
 }
 
 /// The negative phase (Algorithm 2, Step 3): flags the partitions against
@@ -858,7 +868,7 @@ pub(crate) mod tests {
             let roots: Vec<u32> = (0..g.len() as u32).collect();
             for rule in &pos {
                 let compiled = arena.compile(rule);
-                let sigs = ctx.positive_rule_signatures(rule);
+                let sigs = ctx.positive_rule_signatures(&g, rule);
                 let refuted = std::sync::Mutex::new(Vec::new());
                 let open = |a: u32, b: u32| {
                     let open = arena.bound_open(&compiled, a as usize, b as usize);
@@ -1175,7 +1185,7 @@ pub(crate) mod tests {
         let mut ctx = SigContext::new(g);
         for rule in rules {
             let compiled = arena.compile(rule);
-            let sigs = ctx.positive_rule_signatures(rule);
+            let sigs = ctx.positive_rule_signatures(g, rule);
             let (snapshot, closure) = (linked(), linked());
             let (mut candidates, mut refuted) = (0u64, 0u64);
             for a in 0..n {
@@ -1192,7 +1202,7 @@ pub(crate) mod tests {
             for workers in [1usize, 2, 4] {
                 let (uf, rec) = (linked(), Recorder::new());
                 let cfg = DimePlusConfig::default();
-                verify_positive_rule(&arena, &mut ctx, rule, &uf, cfg, workers, &rec, 0);
+                verify_positive_rule(&arena, &compiled, &sigs, &uf, cfg, workers, &rec, 0);
                 let report = rec.snapshot();
                 let [gathered, pruned, verified, skipped] = [
                     "candidate_pairs",

@@ -215,8 +215,8 @@ impl Group {
     /// `false` (and changes nothing) for an out-of-range id.
     ///
     /// Tokens the removed entity interned stay in the dictionary — a
-    /// dictionary only grows, which is what keeps frozen token orders (see
-    /// [`crate::IncrementalDime`]) valid across removals.
+    /// dictionary only grows, which keeps the token order a live session
+    /// saved (see [`crate::IncrementalDime`]) valid across removals.
     pub fn remove_entity(&mut self, id: usize) -> bool {
         if id >= self.entities.len() {
             return false;

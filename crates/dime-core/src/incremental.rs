@@ -2,52 +2,62 @@
 //! grow over time (a Scholar profile gaining publications, a category
 //! gaining products).
 //!
-//! [`IncrementalDime`] maintains the positive-phase state of DIME⁺ across
-//! entity insertions: per-rule inverted signature indexes, a union-find
-//! over partitions, and the packed `VerifyArena` the batch engine
-//! verifies against. Adding an entity appends it to the arena, probes the
-//! indexes with the new entity's signatures, verifies the surviving
-//! candidates through the arena's exact evaluator, and merges —
-//! `O(candidates)` instead of re-running the whole batch pipeline.
+//! [`IncrementalDime`] keeps DIME⁺'s positive-phase state across entity
+//! insertions and removals: the packed `VerifyArena`, each positive rule
+//! compiled against it, a union-find over partitions, and per rule the
+//! keys of every entity in an append-only inverted index. It has no
+//! positive phase of its own; it runs the batch engine's:
 //!
-//! Two ingredients keep signatures of *old* and *new* entities mutually
-//! comparable, which the batch pipeline gets for free:
+//! * **Build.** [`IncrementalDime::new`], [`IncrementalDime::reopen`] and
+//!   [`IncrementalDime::set_rules`] key every row as
+//!   [`crate::discover_fast`] does — the dictionary's frequency order, the
+//!   exact ontology `τ_min` of the rows, the predicate subset their
+//!   statistics choose — except that edit predicates keep symmetric q-gram
+//!   prefixes, and link the partition with the batch engine's
+//!   gather-and-verify pass at one worker.
+//! * **Add.** The newcomer is keyed by the same row function under the
+//!   token order, `τ_min` and subsets of the last build: keys made under
+//!   one fixed context stay comparable, whatever the rows. It gathers its
+//!   partners from the lists and the wildcards, drops those already in its
+//!   component or refuted by the edit bound, and verifies the rest with
+//!   the compiled rule.
+//! * **Re-key.** Keys stay exact under growth by rebuilding them, not by
+//!   coarsening them. A newcomer whose ontology node would lower a rule's
+//!   `τ_min` (at most once per ontology level), or a session that has
+//!   doubled since its last build, re-keys every rule over the current
+//!   rows without verifying any pair; doubling keeps that amortized O(1)
+//!   per add.
 //!
-//! * the global token order is **frozen** at construction (any consistent
-//!   total order preserves the prefix guarantee; tokens first seen later
-//!   rank last, deterministically by id);
-//! * ontology signature depths use the ontology's **minimum node depth**
-//!   rather than the depths present so far, so a later, shallower value
-//!   cannot break Lemma 4.2.
-//!
-//! Entity **removal** ([`IncrementalDime::remove_entity`]) is scoped to the
-//! affected partition: partitions not containing the removed entity keep
-//! their merges verbatim (positive links are pairwise properties, so
-//! removing a non-member cannot invalidate them), and only the removed
-//! entity's partition is re-discovered among its remaining members. Ids
-//! compact (every later id shifts down by one) so the group stays dense.
+//! Entity **removal** ([`IncrementalDime::remove_entity`]) compacts ids
+//! (every later id shifts down by one) in the group, the arena, the
+//! compiled rules and the postings. Partitions not containing the removed
+//! entity keep their merges verbatim: positive links are pairwise
+//! properties, so removing a non-member cannot invalidate them. The
+//! removed entity's former component is re-linked through the add gather,
+//! restricted to its members, so a remove verifies no pair outside it.
 //!
 //! The negative phase (pivot selection + partition flagging) is recomputed
 //! on every [`IncrementalDime::discovery`], over the maintained arena. In
 //! perfbench's traced session replays (300-row groups growing by 4-row
-//! adds, on a 2-vCPU shared host, seed 1101, 4 runs each) one discovery
-//! costs 0.09 ms on dbgen and 0.20–0.21 ms on scholar, against
-//! 0.023–0.024 and 0.08 ms for a 4-row add.
+//! adds, on a 2-vCPU shared host, seed 1101, medians of 6 runs) creating
+//! a session, its document parsed included, costs 2.4 ms on dbgen and
+//! 3.8 ms on scholar, one 4-row add 0.042 and 0.062 ms, and one
+//! discovery 0.15 and 0.35 ms.
 //!
 //! For an end-to-end walkthrough of streaming discovery see
 //! `examples/streaming_profile.rs`; for serving many live groups over this
 //! engine concurrently, see the `dime-serve` crate.
 
-use crate::arena::VerifyArena;
-use crate::dime_plus::negative_phase;
+use crate::arena::{CompiledRule, VerifyArena};
+use crate::dime_plus::{negative_phase, verify_positive_rule, DimePlusConfig};
 use crate::discover::{pick_pivot, Discovery};
 use crate::entity::Group;
 use crate::rule::Rule;
-use crate::signature::{PositiveRulePlan, SigContext};
-use dime_index::{InvertedIndex, UnionFind};
+use crate::signature::SigContext;
+use dime_index::{ConcurrentUnionFind, InvertedIndex};
 use dime_ontology::NodeId;
-use dime_text::GlobalOrder;
 use dime_trace::{span, NoopSink, TraceSink};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// One entity as [`IncrementalDime::reopen`] replays it: its attribute
@@ -80,17 +90,17 @@ pub struct IncrementalDime {
     group: Group,
     positive: Vec<Rule>,
     negative: Vec<Rule>,
-    plans: Vec<PositiveRulePlan>,
-    order: GlobalOrder,
-    uf: UnionFind,
-    /// One inverted index per positive rule.
-    indexes: Vec<InvertedIndex>,
-    /// Per rule: entities whose signatures are wildcards (must be compared
-    /// against every entity).
-    wildcards: Vec<Vec<u32>>,
     /// The packed view of `group` every pair is verified through, kept in
-    /// step with it: pushed on add, rebuilt on remove.
+    /// step with it.
     arena: VerifyArena,
+    uf: ConcurrentUnionFind,
+    /// Per positive rule, its compiled form and its keys.
+    rules: Vec<LiveRule>,
+    /// The token order and `τ_min` values of the last build: every key in
+    /// `rules` was made under them.
+    keys: SigContext,
+    /// How many entities the last build keyed.
+    built: usize,
     /// Candidate pairs actually verified (positive-rule evaluations) over
     /// the engine's lifetime — the observability counter surfaced by
     /// `dime-serve` session stats.
@@ -100,39 +110,56 @@ pub struct IncrementalDime {
     sink: Arc<dyn TraceSink + Send + Sync>,
 }
 
+/// One positive rule's live state.
+struct LiveRule {
+    compiled: CompiledRule,
+    /// The predicates the rule's keys are composed over, by index.
+    plan: Vec<usize>,
+    /// The entities holding each key, ascending; the wildcards (entities
+    /// without keys, which pair with every entity) under [`WILDCARD`].
+    postings: InvertedIndex,
+}
+
+/// The key wildcards are filed under, which every gather reads. A real key
+/// equal to it only adds candidates.
+const WILDCARD: u64 = 0;
+
+impl LiveRule {
+    /// Files entity `e`, the largest id so far, under its keys (`None`: a
+    /// wildcard).
+    fn file(&mut self, e: u32, keys: Option<&[u64]>) {
+        keys.unwrap_or(&[WILDCARD]).iter().for_each(|&k| self.postings.insert(k, e));
+    }
+
+    /// Drops entity `e`, compacting ids.
+    fn remove(&mut self, e: usize) {
+        self.compiled.remove(e);
+        self.postings.remove_entity(e as u32);
+    }
+}
+
 impl IncrementalDime {
     /// Wraps an existing group (commonly empty) and fixes the rule set.
-    ///
-    /// The token order is frozen from the group's dictionary *at this
-    /// point*; entities present in `group` are indexed immediately.
+    /// The group's entities are keyed and linked by one batch pass.
     ///
     /// # Panics
     ///
     /// Panics when rules are supplied with the wrong polarity.
     pub fn new(group: Group, positive: Vec<Rule>, negative: Vec<Rule>) -> Self {
         crate::discover::check_polarities(&positive, &negative);
-        let order = GlobalOrder::from_dictionary(group.dictionary());
-        let plans: Vec<PositiveRulePlan> = {
-            let ctx = SigContext::with_frozen_order(&group, &order);
-            positive.iter().map(|r| ctx.plan_positive_rule(r)).collect()
-        };
         let mut this = Self {
-            uf: UnionFind::new(0),
-            indexes: vec![InvertedIndex::new(); positive.len()],
-            wildcards: vec![Vec::new(); positive.len()],
             arena: VerifyArena::new(&group),
+            uf: ConcurrentUnionFind::new(0),
+            rules: Vec::new(),
+            keys: SigContext::new(&group),
+            built: 0,
             group,
             positive,
             negative,
-            plans,
-            order,
             pairs_verified: 0,
             sink: Arc::new(NoopSink),
         };
-        for eid in 0..this.group.len() {
-            this.uf.push();
-            this.integrate(eid);
-        }
+        this.build(true);
         this
     }
 
@@ -150,22 +177,27 @@ impl IncrementalDime {
     /// rows in id order, each carrying its attribute values and, when the
     /// entity was added with explicit ontology nodes, those nodes.
     ///
-    /// The rebuilt engine's [`IncrementalDime::discovery`] equals the
-    /// pre-crash engine's, even though the two froze different token
-    /// orders: any add/remove interleaving equals a batch run on the
-    /// final rows (the invariant proptested below), so two engines
-    /// holding the same final rows agree. This is what `dime-store`'s
-    /// crash recovery replays into.
-    pub fn reopen(group: Group, positive: Vec<Rule>, negative: Vec<Rule>, rows: &[Row]) -> Self {
-        let mut this = Self::new(group, positive, negative);
+    /// Every row is pushed first, then one build keys and links them all,
+    /// exactly as [`IncrementalDime::new`] over the same rows. The rebuilt
+    /// engine's [`IncrementalDime::discovery`] equals the pre-crash
+    /// engine's: any add/remove interleaving equals a batch run on the
+    /// final rows (the invariant proptested below), so two engines holding
+    /// the same final rows agree. This is what `dime-store`'s crash
+    /// recovery replays into.
+    pub fn reopen(
+        mut group: Group,
+        positive: Vec<Rule>,
+        negative: Vec<Rule>,
+        rows: &[Row],
+    ) -> Self {
         for (values, nodes) in rows {
             let refs: Vec<&str> = values.iter().map(String::as_str).collect();
             match nodes {
-                Some(nodes) => this.add_entity_with_nodes(&refs, nodes),
-                None => this.add_entity(&refs),
+                Some(nodes) => group.push_entity_with_nodes(&refs, nodes),
+                None => group.push_entity(&refs),
             };
         }
-        this
+        Self::new(group, positive, negative)
     }
 
     /// The current group.
@@ -199,17 +231,15 @@ impl IncrementalDime {
         &self.negative
     }
 
-    /// Replaces the rule set **in place**, keeping the group, its
-    /// entities, and the frozen token order. This is the live-install
-    /// path behind the `rules` protocol op: signature plans are recomputed
-    /// for the new positive rules, the per-rule indexes and the
-    /// union-find are rebuilt, and every entity is re-integrated in id
-    /// order — exactly the loop [`IncrementalDime::new`] runs, so the
-    /// post-install state is bit-identical to an engine constructed with
-    /// the new rules under the same frozen order. The arena depends on the
-    /// group alone, so it is kept as is. `pairs_verified`
-    /// accumulates across the re-integration (installs do real verify
-    /// work, and the counter is a lifetime odometer).
+    /// Replaces the rule set **in place**, keeping the group and its
+    /// entities. This is the live-install path behind the `rules` protocol
+    /// op: the rows are keyed and linked afresh by the build
+    /// [`IncrementalDime::new`] runs, so the post-install state is the one
+    /// an engine constructed with the new rules over the same group would
+    /// have. The arena depends on the group alone, so it is kept as is.
+    /// `pairs_verified` accumulates across the install (installs do real
+    /// verify work, and the counter is a lifetime odometer); the batch pass
+    /// reports that work to the sink itself.
     ///
     /// # Panics
     ///
@@ -219,24 +249,41 @@ impl IncrementalDime {
         crate::discover::check_polarities(&positive, &negative);
         let sink = Arc::clone(&self.sink);
         let _op = span(sink.as_ref(), "incremental_set_rules");
-        let before = self.pairs_verified;
-        self.plans = {
-            let ctx = SigContext::with_frozen_order(&self.group, &self.order);
-            positive.iter().map(|r| ctx.plan_positive_rule(r)).collect()
-        };
         self.positive = positive;
         self.negative = negative;
-        self.indexes = vec![InvertedIndex::new(); self.positive.len()];
-        self.wildcards = vec![Vec::new(); self.positive.len()];
-        self.uf = UnionFind::new(0);
-        for eid in 0..self.group.len() {
-            self.uf.push();
-            self.integrate(eid);
-        }
+        self.keys = SigContext::new(&self.group);
+        self.build(true);
         if sink.enabled() {
             sink.add("rules_installed", 1);
-            sink.add("pairs_verified", self.pairs_verified - before);
         }
+    }
+
+    /// Keys every entity for every positive rule under `self.keys`, which
+    /// the caller has just made from the current rows, and compiles the
+    /// rules. With `link`, the partition is rebuilt from singletons by the
+    /// batch engine's positive pass over those keys; without, it is kept.
+    fn build(&mut self, link: bool) {
+        if link {
+            self.uf = ConcurrentUnionFind::new(self.group.len());
+        }
+        let mut rules = Vec::with_capacity(self.positive.len());
+        for (ri, rule) in self.positive.iter().enumerate() {
+            let compiled = self.arena.compile(rule);
+            let sigs = self.keys.positive_rule_signatures_threaded(&self.group, rule, 1, true);
+            if link {
+                let (arena, uf, sink) = (&self.arena, &self.uf, self.sink.as_ref());
+                let config = DimePlusConfig::default();
+                self.pairs_verified +=
+                    verify_positive_rule(arena, &compiled, &sigs, uf, config, 1, sink, ri);
+            }
+            let mut live = LiveRule { compiled, plan: sigs.plan, postings: InvertedIndex::new() };
+            for (e, keys) in (0u32..).zip(sigs.index) {
+                live.file(e, keys.as_deref());
+            }
+            rules.push(live);
+        }
+        self.rules = rules;
+        self.built = self.group.len();
     }
 
     /// Adds an entity (ontology nodes auto-mapped) and links it into the
@@ -254,20 +301,29 @@ impl IncrementalDime {
         self.add_with(|group| group.push_entity_with_nodes(raw_values, nodes))
     }
 
-    /// The one add body: `push` appends the row to the group, then the
-    /// new entity joins the union-find and the arena and is integrated.
+    /// The one add body: `push` appends the row to the group, the new
+    /// entity joins the union-find, the arena and the compiled rules, the
+    /// rules are re-keyed when it calls for that, and it is linked.
     fn add_with(&mut self, push: impl FnOnce(&mut Group) -> usize) -> usize {
         let sink = Arc::clone(&self.sink);
         let _op = span(sink.as_ref(), "incremental_add");
-        let before = self.pairs_verified;
         let id = push(&mut self.group);
         let uid = self.uf.push();
         debug_assert_eq!(id, uid);
         self.arena.push(&self.group, id);
-        self.integrate(id);
+        for live in &mut self.rules {
+            live.compiled.push(&self.arena, id);
+        }
+        let rekey = id >= 2 * self.built || self.keys.lowers_tau(&self.group, id, &self.positive);
+        if rekey {
+            self.keys = SigContext::new(&self.group);
+            self.build(false);
+        }
+        let verified = self.link(id, None, !rekey);
+        self.pairs_verified += verified;
         if sink.enabled() {
             sink.add("entities_added", 1);
-            sink.add("pairs_verified", self.pairs_verified - before);
+            sink.add("pairs_verified", verified);
         }
         id
     }
@@ -275,165 +331,99 @@ impl IncrementalDime {
     /// Removes the entity with id `id`, returning `false` (and changing
     /// nothing) for an out-of-range id. Ids compact: every entity with a
     /// larger id shifts down by one, exactly like
-    /// [`Group::remove_entity`].
+    /// [`Group::remove_entity`], in the group, the arena, the compiled
+    /// rules and the postings alike.
     ///
-    /// The rebuild is scoped to the affected partition. Partitions not
-    /// containing `id` keep their merges: positive links are pairwise
-    /// properties, so removing a non-member cannot invalidate them, and
-    /// links never cross partition boundaries. Only the removed entity's
-    /// partition is re-discovered among its remaining members (it may
-    /// split when the removed entity was the bridge), verifying through the
-    /// arena rebuilt from the compacted group. The per-rule inverted
-    /// indexes are re-derived under the *same* frozen token order and rule
-    /// plans, so later insertions stay comparable.
+    /// Partitions not containing `id` keep their merges: positive links
+    /// are pairwise properties, so removing a non-member cannot invalidate
+    /// them, and links never cross partition boundaries. The removed
+    /// entity's former partition is re-linked among its remaining members
+    /// (it may split when the removed entity was the bridge) by the add
+    /// gather, each member in id order gathering its partners below it:
+    /// any path between two members ran entirely inside the partition, so
+    /// that is exhaustive, and no pair outside it is verified.
     pub fn remove_entity(&mut self, id: usize) -> bool {
         if id >= self.group.len() {
             return false;
         }
         let sink = Arc::clone(&self.sink);
         let _op = span(sink.as_ref(), "incremental_remove");
-        let before = self.pairs_verified;
         let components = self.uf.components();
         let affected = components
             .iter()
             .position(|c| c.binary_search(&id).is_ok())
             .expect("every entity sits in exactly one component");
         self.group.remove_entity(id);
-        self.arena = VerifyArena::new(&self.group);
+        self.arena.remove(id);
+        for live in &mut self.rules {
+            live.remove(id);
+        }
         let shift = |e: usize| if e > id { e - 1 } else { e };
 
         // Surviving components keep their merges verbatim.
-        let mut uf = UnionFind::new(self.group.len());
+        self.uf = ConcurrentUnionFind::new(self.group.len());
         for (ci, comp) in components.iter().enumerate() {
             if ci == affected {
                 continue;
             }
-            let first = shift(comp[0]);
             for &m in &comp[1..] {
-                uf.union(first, shift(m));
+                self.uf.union(shift(comp[0]), shift(m));
             }
         }
-
-        // Re-discover the affected component among its remaining members:
-        // any path between two members ran entirely inside the component,
-        // so pairwise evaluation over the members is exhaustive.
+        let mut within = vec![false; self.group.len()];
         let members: Vec<usize> =
             components[affected].iter().filter(|&&m| m != id).map(|&m| shift(m)).collect();
-        for (i, &a) in members.iter().enumerate() {
-            for &b in &members[i + 1..] {
-                if uf.same(a, b) {
-                    continue;
-                }
-                self.pairs_verified += 1;
-                if self.positive.iter().any(|r| self.arena.eval_rule(r, a, b)) {
-                    uf.union(a, b);
-                }
-            }
-        }
-        self.uf = uf;
-        self.rebuild_indexes();
+        members.iter().for_each(|&m| within[m] = true);
+        let verified: u64 = members.iter().map(|&a| self.link(a, Some(&within), false)).sum();
+        self.pairs_verified += verified;
         if sink.enabled() {
             sink.add("entities_removed", 1);
-            sink.add("pairs_verified", self.pairs_verified - before);
+            sink.add("pairs_verified", verified);
         }
         true
     }
 
-    /// Re-derives the per-rule inverted indexes and wildcard lists for the
-    /// current entity set — same frozen order, same plans, so the state is
-    /// exactly what integrating the surviving entities in id order would
-    /// have produced.
-    fn rebuild_indexes(&mut self) {
-        self.indexes = vec![InvertedIndex::new(); self.positive.len()];
-        self.wildcards = vec![Vec::new(); self.positive.len()];
-        for ri in 0..self.positive.len() {
-            let rule = self.positive[ri].clone();
-            for eid in 0..self.group.len() {
-                let sigs = {
-                    let mut ctx = SigContext::with_frozen_order(&self.group, &self.order);
-                    ctx.entity_positive_signatures(eid, &rule, &self.plans[ri])
-                };
-                match sigs {
-                    None => self.wildcards[ri].push(eid as u32),
-                    Some(sigs) => {
-                        for s in sigs {
-                            self.indexes[ri].insert(s, eid as u32);
-                        }
-                    }
+    /// Links entity `a` to its partners below it, rule by rule: the
+    /// entities sharing a key with it and the wildcards (every entity,
+    /// when `a` is a wildcard), only those `within` marks when given.
+    /// Partners are taken in list order; one already in `a`'s component,
+    /// one met before, or one the edit bound refutes is passed over, and
+    /// any other is verified and merged when it holds. With `file`, `a`'s
+    /// keys are then filed. Returns the pairs verified.
+    fn link(&mut self, a: usize, within: Option<&[bool]>, file: bool) -> u64 {
+        let mut verified = 0;
+        for (rule, live) in self.positive.iter().zip(&mut self.rules) {
+            let keys = self.keys.entity_keys(&self.group, a, rule, &live.plan);
+            // Only partners outside `a`'s component are remembered: in a
+            // large component, most are connected by the time they are met.
+            let (mut met, mut root) = (HashSet::new(), self.uf.find(a));
+            let (uf, arena, compiled) = (&self.uf, &self.arena, &live.compiled);
+            let mut visit = |b: u32| {
+                let b = b as usize;
+                if within.is_some_and(|w| !w[b])
+                    || uf.find(b) == root
+                    || !met.insert(b)
+                    || !arena.bound_open(compiled, a, b)
+                {
+                    return;
                 }
-            }
-        }
-    }
-
-    /// Probes the per-rule indexes with the new entity's signatures,
-    /// verifies surviving candidates, merges, then registers the entity.
-    fn integrate(&mut self, eid: usize) {
-        for ri in 0..self.positive.len() {
-            let rule = self.positive[ri].clone();
-            let sigs = {
-                let mut ctx = SigContext::with_frozen_order(&self.group, &self.order);
-                ctx.entity_positive_signatures(eid, &rule, &self.plans[ri])
+                verified += 1;
+                if arena.eval_compiled(compiled, a, b) {
+                    uf.union(a, b);
+                    root = uf.find(a);
+                }
             };
-            match sigs {
-                None => {
-                    // Wildcard: verify against every existing entity.
-                    for other in 0..eid {
-                        Self::try_link(
-                            &self.arena,
-                            &mut self.uf,
-                            &mut self.pairs_verified,
-                            &rule,
-                            eid,
-                            other,
-                        );
-                    }
-                    self.wildcards[ri].push(eid as u32);
-                }
-                Some(sigs) => {
-                    // Candidates: entities sharing a signature, plus the
-                    // rule's wildcard entities.
-                    let mut cands: Vec<u32> = sigs
-                        .iter()
-                        .filter_map(|s| self.indexes[ri].list(*s))
-                        .flatten()
-                        .copied()
-                        .collect();
-                    cands.extend_from_slice(&self.wildcards[ri]);
-                    cands.sort_unstable();
-                    cands.dedup();
-                    for other in cands {
-                        Self::try_link(
-                            &self.arena,
-                            &mut self.uf,
-                            &mut self.pairs_verified,
-                            &rule,
-                            eid,
-                            other as usize,
-                        );
-                    }
-                    for s in sigs {
-                        self.indexes[ri].insert(s, eid as u32);
-                    }
-                }
+            for &k in keys.iter().flatten().chain(&[WILDCARD]) {
+                below(live.postings.list(k).unwrap_or_default(), a).iter().for_each(|&b| visit(b));
+            }
+            if keys.is_none() {
+                (0..a as u32).for_each(visit);
+            }
+            if file {
+                live.file(a as u32, keys.as_deref());
             }
         }
-    }
-
-    fn try_link(
-        arena: &VerifyArena,
-        uf: &mut UnionFind,
-        pairs_verified: &mut u64,
-        rule: &Rule,
-        a: usize,
-        b: usize,
-    ) {
-        if a == b || uf.same(a, b) {
-            return;
-        }
-        *pairs_verified += 1;
-        if arena.eval_rule(rule, a, b) {
-            uf.union(a, b);
-        }
+        verified
     }
 
     /// Computes the current [`Discovery`]: partitions from the maintained
@@ -455,9 +445,15 @@ impl IncrementalDime {
     }
 }
 
+/// The entities of an ascending `list` below `a`.
+fn below(list: &[u32], a: usize) -> &[u32] {
+    &list[..list.partition_point(|&b| (b as usize) < a)]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dime_plus::tests::ontology_group;
     use crate::discover::discover_naive;
     use crate::entity::{GroupBuilder, Schema};
     use crate::rule::{Predicate, SimilarityFn};
@@ -484,7 +480,7 @@ mod tests {
     /// The recovery contract: an engine rebuilt from the surviving rows
     /// (what `dime-store` replays after a crash) reports the same
     /// discovery as the engine that lived through the operations —
-    /// despite the two freezing different token orders.
+    /// despite the two keying under different token orders.
     #[test]
     fn reopen_from_rows_matches_the_original_engine() {
         let (pos, neg) = rules();
@@ -620,6 +616,14 @@ mod tests {
         assert_eq!(inc.pairs_verified(), 0, "first entity has nothing to verify against");
         inc.add_entity(&["b", "ann, bob"]);
         assert!(inc.pairs_verified() > 0);
+        // A partner met on two lists is verified once: under `overlap ≥ 3`
+        // both rows key on `ann` and `bob`, and they share no third author.
+        let pos = vec![Rule::positive(vec![Predicate::new(1, SimilarityFn::Overlap, 3.0)])];
+        let mut b = GroupBuilder::new(schema());
+        b.add_entity(&["a", "ann, bob, carol, dan"]);
+        let mut inc = IncrementalDime::new(b.build(), pos, rules().1);
+        inc.add_entity(&["b", "ann, bob, xu, yan"]);
+        assert_eq!(inc.pairs_verified(), 1);
     }
 
     #[test]
@@ -627,12 +631,15 @@ mod tests {
         use dime_trace::Recorder;
         let (pos, neg) = rules();
         let rec = Arc::new(Recorder::new());
-        let mut inc = IncrementalDime::new(GroupBuilder::new(schema()).build(), pos, neg)
-            .with_sink(rec.clone());
+        let mut inc =
+            IncrementalDime::new(GroupBuilder::new(schema()).build(), pos.clone(), neg.clone())
+                .with_sink(rec.clone());
         inc.add_entity(&["a", "ann, bob"]);
         inc.add_entity(&["b", "ann, bob"]);
         inc.add_entity(&["c", "zed"]);
         assert!(inc.remove_entity(2));
+        // The install's batch pass reports its own verified pairs.
+        inc.set_rules(pos, neg);
         let _ = inc.discovery();
         let report = rec.snapshot();
         assert_eq!(report.counter("entities_added"), 3);
@@ -645,44 +652,6 @@ mod tests {
             );
         }
         assert!(report.rule_hits.iter().any(|r| r.kind == dime_trace::RuleKind::Negative));
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-        /// The removal invariant: after any interleaving of insertions and
-        /// removals, the result equals a from-scratch batch run on the
-        /// final group.
-        #[test]
-        fn prop_add_remove_interleaving_equals_batch(
-            ops in proptest::collection::vec(
-                (proptest::bool::ANY, proptest::collection::vec(0u32..10, 0..5), 0usize..16),
-                1..16,
-            ),
-        ) {
-            let (pos, neg) = rules();
-            let mut inc =
-                IncrementalDime::new(GroupBuilder::new(schema()).build(), pos.clone(), neg.clone());
-            let mut rows: Vec<(String, String)> = Vec::new();
-            for (i, (is_remove, list, pick)) in ops.iter().enumerate() {
-                if *is_remove && !rows.is_empty() {
-                    let id = pick % rows.len();
-                    prop_assert!(inc.remove_entity(id));
-                    rows.remove(id);
-                } else {
-                    let joined: Vec<String> = list.iter().map(|x| format!("a{x}")).collect();
-                    let title = format!("t{}", i % 3);
-                    let authors = joined.join(", ");
-                    inc.add_entity(&[title.as_str(), authors.as_str()]);
-                    rows.push((title, authors));
-                }
-            }
-            prop_assert_eq!(inc.len(), rows.len());
-            prop_assert_eq!(&inc.arena, &VerifyArena::new(inc.group()));
-            if !rows.is_empty() {
-                let d = inc.discovery();
-                prop_assert_eq!(d, discover_naive(&batch_group(&rows), &pos, &neg));
-            }
-        }
     }
 
     #[test]
@@ -716,8 +685,9 @@ mod tests {
         let mut inc =
             IncrementalDime::new(GroupBuilder::new(schema()).build(), pos.clone(), neg.clone());
         inc.add_entity(&["entity matching", "ann, bob"]);
-        // Swap to the same rules (a no-op install), then keep streaming:
-        // the frozen order must still accept new tokens deterministically.
+        // Swap to the same rules (a re-keying install), then keep
+        // streaming: the install's token order must still accept new
+        // tokens deterministically.
         inc.set_rules(pos.clone(), neg.clone());
         inc.add_entity(&["entity matching redux", "ann, bob, carol"]);
         inc.add_entity(&["organic synthesis", "unseen tokens here"]);
@@ -748,24 +718,294 @@ mod tests {
         inc.set_rules(neg, pos);
     }
 
+    /// The rows the live proptests stream: a title, an author list and a
+    /// venue choice, as [`live_group`] turns them into values and nodes.
+    type LiveRow = (String, Vec<u32>, usize);
+
+    /// An empty group with [`ontology_group`]'s schema (`Title`, `Authors`,
+    /// `Venue`) and venue ontology, and the nodes a row's venue choice maps
+    /// to: the twelve venues (depth 4), three areas (depth 3) and field
+    /// `f0` (depth 2), past those unmapped.
+    fn live_base() -> (Group, Vec<NodeId>) {
+        let g = ontology_group(&[], &[], &[]);
+        let ont = g.ontology(2).expect("the venue ontology");
+        let mut names: Vec<String> = Vec::new();
+        for f in 0..3 {
+            for a in 0..2 {
+                names.extend((0..2).map(|v| format!("f{f}a{a}v{v}")));
+            }
+        }
+        names.extend(["f0a0", "f0a1", "f1a0", "f0"].map(String::from));
+        let nodes = names.iter().map(|n| ont.lookup(n).expect("a venue-ontology node")).collect();
+        (g, nodes)
+    }
+
+    /// Pushes `row` through `add` as values and explicit nodes.
+    fn add_row(inc: &mut IncrementalDime, nodes: &[NodeId], (title, authors, venue): &LiveRow) {
+        let joined: Vec<String> = authors.iter().map(|x| format!("a{x}")).collect();
+        let venue_text = format!("venue {venue}");
+        let values = [title.as_str(), &joined.join(", "), &venue_text];
+        inc.add_entity_with_nodes(&values, &[None, None, nodes.get(*venue).copied()]);
+    }
+
+    /// [`live_base`] holding `rows`, built in one go: the oracle's group.
+    fn live_group(rows: &[LiveRow]) -> Group {
+        let (base, nodes) = live_base();
+        let mut inc = IncrementalDime::reopen(base, Vec::new(), Vec::new(), &[]);
+        for row in rows {
+            add_row(&mut inc, &nodes, row);
+        }
+        inc.group
+    }
+
+    /// Rules over [`live_base`]'s attributes: an ontology conjunction whose
+    /// `τ_min` falls from 3 to 2 once an area or field arrives (field `f0`
+    /// and its areas score 0.8, keyed apart at depth 3), an `edit_sim` rule
+    /// that short or repetitive titles make wildcards, and set rules.
+    fn live_rules() -> (Vec<Rule>, Vec<Rule>) {
+        (
+            vec![
+                Rule::positive(vec![Predicate::new(1, SimilarityFn::Overlap, 2.0)]),
+                Rule::positive(vec![
+                    Predicate::new(1, SimilarityFn::Overlap, 1.0),
+                    Predicate::new(2, SimilarityFn::Ontology, 0.75),
+                ]),
+                Rule::positive(vec![Predicate::new(0, SimilarityFn::EditSimilarity, 0.8)]),
+                Rule::positive(vec![
+                    Predicate::new(1, SimilarityFn::Overlap, 1.0),
+                    Predicate::new(0, SimilarityFn::Jaccard, 0.5),
+                ]),
+            ],
+            vec![
+                Rule::negative(vec![Predicate::new(1, SimilarityFn::Overlap, 0.0)]),
+                Rule::negative(vec![
+                    Predicate::new(1, SimilarityFn::Overlap, 1.0),
+                    Predicate::new(2, SimilarityFn::Ontology, 0.25),
+                ]),
+            ],
+        )
+    }
+
+    /// The rules a live proptest stream starts under before installing
+    /// [`live_rules`] mid-stream.
+    fn weak_rules() -> (Vec<Rule>, Vec<Rule>) {
+        let (pos, neg) = live_rules();
+        (vec![pos[2].clone(), pos[0].clone()], neg[1..].to_vec())
+    }
+
+    /// The venue a proptest row gets: rows in the first half of a stream
+    /// take only venues (or none), so areas and the field come after them.
+    fn venue_at(i: usize, len: usize, venue: usize) -> usize {
+        if i < len / 2 && (12..16).contains(&venue) {
+            venue - 12
+        } else {
+            venue
+        }
+    }
+
+    /// The engine's discovery equals the naive engine's on the rows it
+    /// holds, under the rules it holds, and its arena is the one the rows
+    /// build.
+    fn check_against_naive(inc: &mut IncrementalDime, rows: &[LiveRow]) {
+        assert_eq!(inc.len(), rows.len());
+        assert_eq!(inc.arena, VerifyArena::new(inc.group()));
+        if !rows.is_empty() {
+            let (pos, neg) = (inc.positive_rules().to_vec(), inc.negative_rules().to_vec());
+            assert_eq!(inc.discovery(), discover_naive(&live_group(rows), &pos, &neg));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         /// The central incremental invariant: after any insertion sequence,
-        /// the result equals a from-scratch batch run on the final group.
+        /// with [`live_rules`] installed mid-stream, the result equals a
+        /// from-scratch batch run on the final group.
         #[test]
         fn prop_incremental_equals_batch(
-            lists in proptest::collection::vec(proptest::collection::vec(0u32..10, 0..5), 1..12),
-            titles in proptest::collection::vec("[a-c ]{0,10}", 12),
+            lists in proptest::collection::vec(proptest::collection::vec(0u32..10, 0..5), 1..16),
+            titles in proptest::collection::vec("[a-c ]{0,10}", 16),
+            venues in proptest::collection::vec(0usize..18, 16),
+            install in 0usize..18,
         ) {
-            let (pos, neg) = rules();
-            let mut inc =
-                IncrementalDime::new(GroupBuilder::new(schema()).build(), pos.clone(), neg.clone());
-            for (l, t) in lists.iter().zip(&titles) {
-                let joined: Vec<String> = l.iter().map(|x| format!("a{x}")).collect();
-                inc.add_entity(&[t.as_str(), joined.join(", ").as_str()]);
+            let (base, nodes) = live_base();
+            let (pos, neg) = weak_rules();
+            let mut inc = IncrementalDime::new(base, pos, neg);
+            let mut rows = Vec::new();
+            for (i, list) in lists.iter().enumerate() {
+                if i == install {
+                    let (pos, neg) = live_rules();
+                    inc.set_rules(pos, neg);
+                }
+                let row = (titles[i].clone(), list.clone(), venue_at(i, lists.len(), venues[i]));
+                add_row(&mut inc, &nodes, &row);
+                rows.push(row);
             }
-            let d = inc.discovery();
-            prop_assert_eq!(d, discover_naive(inc.group(), &pos, &neg));
+            check_against_naive(&mut inc, &rows);
         }
+
+        /// The removal invariant: after any interleaving of insertions and
+        /// removals, with [`live_rules`] installed mid-stream, the result
+        /// equals a from-scratch batch run on the final group.
+        #[test]
+        fn prop_add_remove_interleaving_equals_batch(
+            ops in proptest::collection::vec(
+                (proptest::bool::ANY, proptest::collection::vec(0u32..10, 0..5), 0usize..16, 0usize..18),
+                1..20,
+            ),
+            titles in proptest::collection::vec("[a-cö ]{0,8}", 20),
+            install in 0usize..22,
+        ) {
+            let (base, nodes) = live_base();
+            let (pos, neg) = weak_rules();
+            let mut inc = IncrementalDime::new(base, pos, neg);
+            let mut rows: Vec<LiveRow> = Vec::new();
+            for (i, (is_remove, list, pick, venue)) in ops.iter().enumerate() {
+                if i == install {
+                    let (pos, neg) = live_rules();
+                    inc.set_rules(pos, neg);
+                }
+                if *is_remove && !rows.is_empty() {
+                    let id = pick % rows.len();
+                    prop_assert!(inc.remove_entity(id));
+                    rows.remove(id);
+                } else {
+                    let row = (titles[i].clone(), list.clone(), venue_at(i, ops.len(), *venue));
+                    add_row(&mut inc, &nodes, &row);
+                    rows.push(row);
+                }
+            }
+            check_against_naive(&mut inc, &rows);
+        }
+    }
+
+    /// A shallow node after deep ones lowers the ontology rule's `τ_min`
+    /// from 3 to 2: the add re-keys every rule before it is linked. Area
+    /// `f0a1` and field `f0` score 2·2/5 ≥ 0.75, and only keys at depth 2
+    /// put them on one list.
+    #[test]
+    fn a_shallower_node_rekeys() {
+        let (base, nodes) = live_base();
+        let (pos, neg) = live_rules();
+        let mut inc = IncrementalDime::new(base, pos.clone(), neg.clone());
+        // Titles `aaaaaa`, `bbbbbb`, …: no title rule links two rows.
+        let title = |i: u8| char::from(b'a' + i).to_string().repeat(6);
+        let mut rows: Vec<LiveRow> =
+            (0..12).map(|i| (title(i as u8), vec![0, 100 + i as u32], i)).collect();
+        rows.push((title(12), vec![200], 13));
+        rows.push((title(13), vec![200], 15));
+        for (i, row) in rows.iter().enumerate() {
+            add_row(&mut inc, &nodes, row);
+            if i == 11 {
+                assert_eq!(inc.built, 7, "re-keyed at 1, 3 and 7 rows");
+            }
+        }
+        assert_eq!(inc.built, 13, "the area re-keyed");
+        let d = inc.discovery();
+        assert_eq!(d, discover_naive(&live_group(&rows), &pos, &neg));
+        assert!(d.partitions.contains(&vec![12, 13]));
+    }
+
+    /// A newcomer with keys gathers the earlier wildcards: `ababababab`
+    /// has two distinct bigrams, too few for a prefix at `edit_sim ≥ 0.8`,
+    /// and `ababacdbab`, two substitutions away, has five.
+    #[test]
+    fn keyed_add_meets_an_earlier_wildcard() {
+        let (base, nodes) = live_base();
+        let (pos, neg) = live_rules();
+        let mut inc = IncrementalDime::new(base, pos.clone(), neg.clone());
+        let rows: Vec<LiveRow> = ["ababababab", "xyz", "zyx", "ababacdbab"]
+            .map(|t| (t.to_string(), Vec::new(), 16))
+            .to_vec();
+        for row in &rows {
+            add_row(&mut inc, &nodes, row);
+        }
+        assert_eq!(inc.rules[2].postings.list(WILDCARD), Some(&[0u32][..]));
+        assert_eq!(inc.built, 3, "the fourth add is keyed, not re-keyed");
+        let d = inc.discovery();
+        assert_eq!(d, discover_naive(&live_group(&rows), &pos, &neg));
+        assert!(d.partitions.contains(&vec![0, 3]));
+    }
+
+    /// `reopen` pushes every row and then builds once, as `new` does over
+    /// a group already holding them: the two verify the same pairs.
+    #[test]
+    fn reopen_verifies_what_new_verifies() {
+        let (base, nodes) = live_base();
+        let (pos, neg) = live_rules();
+        let mut rng = crate::dime_plus::tests::SplitMix64(0x2E0_9E4);
+        let rows: Vec<LiveRow> = (0..300)
+            .map(|_| {
+                let title = (0..rng.below(9)).map(|_| ['a', 'b', 'c', ' '][rng.below(4)]).collect();
+                let authors = (0..rng.below(4)).map(|_| rng.below(40) as u32).collect();
+                (title, authors, rng.below(18))
+            })
+            .collect();
+        let persisted: Vec<Row> = rows
+            .iter()
+            .map(|(title, authors, venue)| {
+                let joined: Vec<String> = authors.iter().map(|x| format!("a{x}")).collect();
+                let values = vec![title.clone(), joined.join(", "), format!("venue {venue}")];
+                (values, Some(vec![None, None, nodes.get(*venue).copied()]))
+            })
+            .collect();
+        let mut reopened = IncrementalDime::reopen(base, pos.clone(), neg.clone(), &persisted);
+        let mut born = IncrementalDime::new(live_group(&rows), pos.clone(), neg.clone());
+        assert!(born.pairs_verified() > 0);
+        assert_eq!(reopened.pairs_verified(), born.pairs_verified());
+        assert_eq!(reopened.discovery(), born.discovery());
+        assert_eq!(born.discovery(), discover_naive(born.group(), &pos, &neg));
+    }
+
+    /// A remove re-links the removed entity's former component only: every
+    /// pair it verifies has both sides in that component.
+    #[test]
+    fn remove_verifies_only_inside_its_component() {
+        let (base, nodes) = live_base();
+        let (pos, neg) = live_rules();
+        let mut inc = IncrementalDime::new(base, pos.clone(), neg.clone());
+        let mut rng = crate::dime_plus::tests::SplitMix64(0x2E_3071);
+        let mut rows = Vec::new();
+        for _ in 0..120 {
+            let title = (0..rng.below(9)).map(|_| ['a', 'b', 'c', ' '][rng.below(4)]).collect();
+            let row = (title, (0..rng.below(4)).map(|_| rng.below(60) as u32).collect(), 16);
+            add_row(&mut inc, &nodes, &row);
+            rows.push(row);
+        }
+        let d = inc.discovery();
+        let mut victims: Vec<usize> =
+            d.partitions.iter().filter(|p| p.len() > 2).map(|p| p[1]).collect();
+        assert!(victims.len() >= 3, "too few multi-member components: {}", victims.len());
+        // Highest id first, so the ids still to remove do not shift.
+        victims.sort_unstable();
+        for victim in victims.into_iter().rev() {
+            let component = inc.discovery().partitions.into_iter().find(|p| p.contains(&victim));
+            let size = component.expect("a component").len() as u64 - 1;
+            let before = inc.pairs_verified();
+            assert!(inc.remove_entity(victim));
+            rows.remove(victim);
+            let verified = inc.pairs_verified() - before;
+            assert!(
+                verified <= size * (size - 1) / 2,
+                "{verified} pairs in a {size}-member component"
+            );
+            assert_eq!(inc.discovery(), discover_naive(&live_group(&rows), &pos, &neg));
+        }
+    }
+
+    /// `set_rules` on an empty session whose sink is enabled skips the
+    /// batch pass, whose candidate counters would underflow on no rows.
+    #[test]
+    fn set_rules_on_an_empty_traced_session() {
+        use dime_trace::Recorder;
+        let (pos, neg) = rules();
+        let rec = Arc::new(Recorder::new());
+        let mut inc =
+            IncrementalDime::new(GroupBuilder::new(schema()).build(), pos.clone(), neg.clone())
+                .with_sink(rec.clone());
+        inc.set_rules(pos.clone(), neg.clone());
+        assert_eq!(rec.snapshot().counter("rules_installed"), 1);
+        inc.add_entity(&["a", "ann, bob"]);
+        inc.add_entity(&["b", "ann, bob"]);
+        assert_eq!(inc.discovery(), discover_naive(inc.group(), &pos, &neg));
     }
 }

@@ -27,16 +27,22 @@
 //! prefixes. They are asymmetric: a value's *index* keys are its segments
 //! and its *probe* keys are substrings of it, so a rule's tuples come in
 //! the two sides [`RuleSigs`] holds. Every other predicate emits the same
-//! set on both sides. The live engine ([`crate::IncrementalDime`]) and
-//! rules whose values have too many probe keys keep the symmetric q-gram
-//! prefixes.
+//! set on both sides. Rules whose values have too many probe keys keep the
+//! symmetric q-gram prefixes, and so does the live engine
+//! ([`crate::IncrementalDime`]), which asks for symmetric keys: an add
+//! probes the lists with the newcomer's keys, and under Pass-Join a short
+//! newcomer would have to meet every longer row's probe keys.
+//!
+//! A [`SigContext`] is the state keys are comparable under: the token
+//! order and the ontology `τ_min` values, both taken from the group it was
+//! built on. The live engine keeps the context of its last build and keys
+//! each newcomer under it ([`SigContext::entity_keys`]).
 
 use crate::entity::{AttrValue, Entity, Group};
 use crate::rule::{edit_distance_check, edit_similarity_check, EditCheck};
 use crate::rule::{Polarity, Predicate, Rule, SimilarityFn};
 use dime_ontology::{node_signature, tau_min};
 use dime_text::{edit_prefix_len, overlap_prefix_len, GlobalOrder, TokenId};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
 
@@ -48,9 +54,9 @@ pub(crate) const Q: usize = 2;
 const FP_EPS: f64 = 1e-9;
 
 /// Cap on the number of composite signatures one entity may emit for one
-/// rule. The batch planner sizes the predicate subset to stay under it; an
-/// entity that would still exceed it (possible only on the incremental
-/// path, whose plan is fixed up front) becomes a wildcard.
+/// rule. The planner sizes the predicate subset to stay under it on the
+/// rows it sees; a row it did not see (a live-engine add keyed under an
+/// earlier plan) may still exceed it, and becomes a wildcard.
 const MAX_COMPOSITE: usize = 1024;
 
 /// Deterministic 64-bit mixer (SplitMix64 finalizer) — stable across runs,
@@ -97,78 +103,61 @@ pub(crate) enum PredSigs {
     Trivial,
 }
 
-/// Shared signature-generation state for one group: the global token order
-/// and a cache of ontology `τ_min` values per (attribute, threshold).
-pub(crate) struct SigContext<'g> {
-    group: &'g Group,
-    order: Cow<'g, GlobalOrder>,
+/// The state a group's keys are comparable under: the global token order
+/// and a cache of ontology `τ_min` values per (attribute, threshold), both
+/// taken from the group the context was built on.
+pub(crate) struct SigContext {
+    order: GlobalOrder,
     tau_cache: HashMap<(usize, u64), u32>,
-    /// When set, ontology `τ_min` uses the ontology's minimum node depth
-    /// instead of the depths present in the current group — sound for
-    /// entities added later (see [`crate::IncrementalDime`]).
-    conservative_tau: bool,
 }
 
-impl<'g> SigContext<'g> {
+impl SigContext {
     /// Builds the context (computes the document-frequency global order).
-    pub(crate) fn new(group: &'g Group) -> Self {
-        Self {
-            group,
-            order: Cow::Owned(GlobalOrder::from_dictionary(group.dictionary())),
-            tau_cache: HashMap::new(),
-            conservative_tau: false,
-        }
-    }
-
-    /// Builds a context around a *frozen* token order and conservative
-    /// ontology signature depths — the configuration under which signatures
-    /// stay mutually consistent as the group grows.
-    pub(crate) fn with_frozen_order(group: &'g Group, order: &'g GlobalOrder) -> Self {
-        Self {
-            group,
-            order: Cow::Borrowed(order),
-            tau_cache: HashMap::new(),
-            conservative_tau: true,
-        }
+    pub(crate) fn new(group: &Group) -> Self {
+        Self { order: GlobalOrder::from_dictionary(group.dictionary()), tau_cache: HashMap::new() }
     }
 
     /// Signature set of `entity` for one positive `pred`.
     #[cfg(test)]
-    fn predicate_sigs(&mut self, entity: &Entity, pred: &Predicate) -> PredSigs {
-        self.warm_tau(pred);
-        self.positive_sigs(entity, pred)
+    fn predicate_sigs(&mut self, group: &Group, entity: &Entity, pred: &Predicate) -> PredSigs {
+        self.warm_tau(group, pred);
+        self.positive_sigs(group, entity, pred)
     }
 
-    /// [`SigContext::positive_rule_signatures_threaded`] on one worker.
+    /// [`SigContext::positive_rule_signatures_threaded`] on one worker,
+    /// with the batch engine's keys.
     #[cfg(test)]
-    pub(crate) fn positive_rule_signatures(&mut self, rule: &Rule) -> RuleSigs {
-        self.positive_rule_signatures_threaded(rule, 1)
+    pub(crate) fn positive_rule_signatures(&mut self, group: &Group, rule: &Rule) -> RuleSigs {
+        self.positive_rule_signatures_threaded(group, rule, 1, false)
     }
 
-    /// Composite signatures of **every** entity of the group for a positive
-    /// rule, on both sides (see [`RuleSigs`]).
+    /// Composite signatures of **every** entity of `group` for a positive
+    /// rule, on both sides (see [`RuleSigs`]); with `symmetric`, no
+    /// predicate takes Pass-Join keys, so the two sides are one.
     ///
     /// The subset of predicates that participates in the tuples is chosen
     /// once per rule (smallest average signature sets first, capped so the
     /// largest per-entity cross product stays under an internal budget) —
     /// signature tuples are only comparable when every entity uses the same
-    /// predicate subset. A Pass-Join predicate is sized by its probe keys.
-    /// Components combine by XOR, so tuple hashes are independent of
-    /// construction order.
+    /// predicate subset, which [`RuleSigs::plan`] records. A Pass-Join
+    /// predicate is sized by its probe keys. Components combine by XOR, so
+    /// tuple hashes are independent of construction order.
     ///
     /// Per-entity rows and tuple composition are fanned out over `threads`
     /// workers. The `τ_min` cache is warmed up front so row generation is
     /// read-only; results are identical for every thread count.
     pub(crate) fn positive_rule_signatures_threaded(
         &mut self,
+        group: &Group,
         rule: &Rule,
         threads: usize,
+        symmetric: bool,
     ) -> RuleSigs {
         debug_assert_eq!(rule.polarity, Polarity::Positive);
         for pred in &rule.predicates {
-            self.warm_tau(pred);
+            self.warm_tau(group, pred);
         }
-        let n = self.group.len();
+        let n = group.len();
         let m = rule.predicates.len();
         // The first positive `AtMost` edit predicate takes Pass-Join keys,
         // unless a value of its attribute would have more probe keys than a
@@ -179,13 +168,14 @@ impl<'g> SigContext<'g> {
             .predicates
             .iter()
             .enumerate()
+            .filter(|_| !symmetric)
             .find_map(|(pi, p)| Some((pi, EditBound::of(p)?)))
-            .filter(|&(pi, bound)| self.pass_join_fits(rule.predicates[pi].attr, bound));
+            .filter(|&(pi, bound)| pass_join_fits(group, rule.predicates[pi].attr, bound));
         // Per-entity, per-predicate signature sets (salted by predicate),
         // with the Pass-Join predicate's index keys and its probe count.
         let ctx = &*self;
         let per: Vec<(Vec<PredSigs>, usize)> =
-            crate::par::par_map(n, threads, |eid| ctx.salted_positive_row(eid, rule, pj));
+            crate::par::par_map(n, threads, |eid| ctx.salted_positive_row(group, eid, rule, pj));
         // Rule-level predicate subset: non-trivial predicates ordered by
         // average signature-set size, greedily added while the *maximum*
         // per-entity tuple count stays bounded.
@@ -214,8 +204,9 @@ impl<'g> SigContext<'g> {
             })
             .collect();
         if stats.is_empty() {
-            // Every predicate trivial for every entity: all pairs match.
-            return RuleSigs::symmetric(vec![None; n]);
+            // Every predicate trivial for every entity (or no entity): all
+            // pairs match.
+            return RuleSigs::symmetric(vec![None; n], Vec::new());
         }
         stats.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         let mut chosen: Vec<usize> = vec![stats[0].0];
@@ -227,12 +218,13 @@ impl<'g> SigContext<'g> {
             worst *= mx;
             chosen.push(pi);
         }
-        let plan = PositiveRulePlan { chosen };
+        let plan = chosen;
         // Composing consumes the rows, so each is freed once composed.
-        let Some((pj, bound)) = pj.filter(|(pi, _)| plan.chosen.contains(pi)) else {
-            return RuleSigs::symmetric(crate::par::par_map_owned(per, threads, |_, (row, _)| {
+        let Some((pj, bound)) = pj.filter(|(pi, _)| plan.contains(pi)) else {
+            let index = crate::par::par_map_owned(per, threads, |_, (row, _)| {
                 compose_row(&row, &plan, None)
-            }));
+            });
+            return RuleSigs::symmetric(index, plan);
         };
         // The probe side: the Pass-Join keys are generated here, one entity
         // at a time, and composed straight away.
@@ -241,7 +233,7 @@ impl<'g> SigContext<'g> {
             crate::par::par_map_owned(per, threads, |eid, (row, count)| {
                 match compose_row(&row, &plan, None) {
                     Some(index) if !index.is_empty() => {
-                        let value = ctx.group.entity(eid).value(attr);
+                        let value = group.entity(eid).value(attr);
                         let keys = pass_join_probe(value, bound, predicate_salt(pj), count);
                         let probe = compose_row(&row, &plan, Some((pj, &keys)));
                         probe.map_or((None, Vec::new()), |probe| (Some(index), probe))
@@ -254,60 +246,45 @@ impl<'g> SigContext<'g> {
         // Probing runs down (char count, reversed id) on the predicate's
         // attribute.
         let mut order: Vec<u64> = (0..n as u32)
-            .map(|e| {
-                u64::from(ctx.group.entity(e as usize).value(attr).char_len) << 32 | u64::from(!e)
-            })
+            .map(|e| u64::from(group.entity(e as usize).value(attr).char_len) << 32 | u64::from(!e))
             .collect();
         order.sort_unstable();
         let mut rank = vec![0u32; n];
         for (r, &key) in (0u32..).zip(&order) {
             rank[!(key as u32) as usize] = r;
         }
-        RuleSigs { index, probe: Some(probe), rank }
+        RuleSigs { index, probe: Some(probe), rank, plan }
     }
 
-    /// Chooses the predicate subset a rule's composite tuples will use,
-    /// independent of any particular entity set — the incremental engine
-    /// fixes a plan once and composes every later entity against it.
-    pub(crate) fn plan_positive_rule(&self, rule: &Rule) -> PositiveRulePlan {
-        debug_assert_eq!(rule.polarity, Polarity::Positive);
-        // Without entity statistics, keep every non-trivial predicate under
-        // a conservative per-predicate budget.
-        let chosen: Vec<usize> = rule
-            .predicates
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !is_trivially_true(p))
-            .map(|(i, _)| i)
-            .collect();
-        PositiveRulePlan { chosen }
-    }
-
-    /// Composite signatures of one entity under a fixed [`PositiveRulePlan`]
-    /// — only comparable with signatures produced under the *same* plan and
-    /// the same (frozen) token order. Edit predicates take symmetric q-gram
-    /// prefixes here: the live engine keeps one index per rule.
-    pub(crate) fn entity_positive_signatures(
-        &mut self,
+    /// Entity `eid`'s symmetric keys for a positive rule under `plan`: the
+    /// row and composition [`SigContext::positive_rule_signatures_threaded`]
+    /// gives it with `symmetric`, so under the context and plan of an
+    /// earlier build of its rows, a row added since is keyed as that build
+    /// would have keyed it. `None` is a wildcard.
+    pub(crate) fn entity_keys(
+        &self,
+        group: &Group,
         eid: usize,
         rule: &Rule,
-        plan: &PositiveRulePlan,
+        plan: &[usize],
     ) -> Option<Vec<u64>> {
-        for pred in &rule.predicates {
-            self.warm_tau(pred);
-        }
-        let (row, _) = self.salted_positive_row(eid, rule, None);
-        compose_row(&row, plan, None)
+        compose_row(&self.salted_positive_row(group, eid, rule, None).0, plan, None)
     }
 
-    /// Whether every value of `attr` has at most [`MAX_COMPOSITE`] Pass-Join
-    /// probe keys under `bound`.
-    fn pass_join_fits(&self, attr: usize, bound: EditBound) -> bool {
-        let mut lens: Vec<u32> =
-            self.group.entities().iter().map(|e| e.value(attr).char_len).collect();
-        lens.sort_unstable();
-        lens.dedup();
-        lens.into_iter().all(|len| probe_count(len as usize, bound) <= MAX_COMPOSITE)
+    /// Whether entity `eid` maps, on an ontology predicate of `rules`, to a
+    /// node whose `τ_n` is below the `τ_min` this context keys at: keyed at
+    /// that depth, it could miss a partner (Lemma 4.2).
+    pub(crate) fn lowers_tau(&self, group: &Group, eid: usize, rules: &[Rule]) -> bool {
+        let entity = group.entity(eid);
+        rules.iter().flat_map(|r| &r.predicates).any(|p| {
+            let built = self.tau_cache.get(&(p.attr, p.threshold.to_bits()));
+            match (p.func, built, group.ontology(p.attr), entity.value(p.attr).node) {
+                (SimilarityFn::Ontology, Some(&built), Some(ont), Some(node)) => {
+                    tau_min(p.threshold, [ont.depth(node)]) < built
+                }
+                _ => false,
+            }
+        })
     }
 
     /// One entity's salted signatures per predicate of a positive rule.
@@ -315,11 +292,12 @@ impl<'g> SigContext<'g> {
     /// probe count comes back too.
     fn salted_positive_row(
         &self,
+        group: &Group,
         eid: usize,
         rule: &Rule,
         pj: Option<(usize, EditBound)>,
     ) -> (Vec<PredSigs>, usize) {
-        let e = self.group.entity(eid);
+        let e = group.entity(eid);
         let mut probes = 0;
         let row = (0..rule.predicates.len())
             .map(|pi| {
@@ -330,7 +308,7 @@ impl<'g> SigContext<'g> {
                     probes = count;
                     return index;
                 }
-                match self.positive_sigs(e, pred) {
+                match self.positive_sigs(group, e, pred) {
                     PredSigs::Sigs(s) => {
                         let salt = predicate_salt(pi);
                         PredSigs::Sigs(s.into_iter().map(|c| salted(salt, c)).collect())
@@ -344,7 +322,7 @@ impl<'g> SigContext<'g> {
 
     // ---- positive predicates --------------------------------------------
 
-    fn positive_sigs(&self, entity: &Entity, pred: &Predicate) -> PredSigs {
+    fn positive_sigs(&self, group: &Group, entity: &Entity, pred: &Predicate) -> PredSigs {
         let value = entity.value(pred.attr);
         let theta = pred.threshold;
         match pred.func {
@@ -398,9 +376,9 @@ impl<'g> SigContext<'g> {
                 match value.node {
                     None => PredSigs::Sigs(Vec::new()), // sim 0 < θ, never
                     Some(node) => {
-                        let tm = self.tau_for(pred.attr, theta);
-                        let ont =
-                            self.group.ontology(pred.attr).expect("mapped node implies ontology");
+                        // Warmed before any row is keyed (`warm_tau`).
+                        let tm = self.tau_cache[&(pred.attr, theta.to_bits())];
+                        let ont = group.ontology(pred.attr).expect("mapped node implies ontology");
                         let sig = node_signature(ont, node, tm);
                         PredSigs::Sigs(vec![mix64(0x0e70 ^ u64::from(sig) << 8)])
                     }
@@ -438,63 +416,30 @@ impl<'g> SigContext<'g> {
         PredSigs::Sigs(sorted[..plen].iter().map(|&t| mix64(0x70C ^ u64::from(t) << 8)).collect())
     }
 
-    /// `τ_min` for an ontology predicate: the minimum `τ_n` over every
-    /// mapped node of this attribute in the group. Reads through the cache
-    /// without writing, so signature rows can be generated from `&self` on
-    /// worker threads; the entry points warm the cache first (see
-    /// [`SigContext::warm_tau`]) so repeated lookups stay memoized.
-    fn tau_for(&self, attr: usize, theta: f64) -> u32 {
-        if let Some(&t) = self.tau_cache.get(&(attr, theta.to_bits())) {
-            return t;
-        }
-        self.compute_tau(attr, theta)
-    }
-
     /// Ensures the `τ_min` value a predicate's signatures will need is in
     /// the cache — called once per predicate before row generation, which
-    /// keeps [`SigContext::tau_for`] a pure read on the hot path.
-    fn warm_tau(&mut self, pred: &Predicate) {
+    /// keeps keying a pure read, so rows can be keyed from `&self` on worker
+    /// threads.
+    fn warm_tau(&mut self, group: &Group, pred: &Predicate) {
         // A trivial predicate (θ ≤ 0) never reaches τ.
         if pred.func != SimilarityFn::Ontology || pred.threshold <= 0.0 {
             return;
         }
-        let key = (pred.attr, pred.threshold.to_bits());
-        if !self.tau_cache.contains_key(&key) {
-            let t = self.compute_tau(pred.attr, pred.threshold);
-            self.tau_cache.insert(key, t);
-        }
-    }
-
-    fn compute_tau(&self, attr: usize, theta: f64) -> u32 {
-        match self.group.ontology(attr) {
-            None => 1,
-            Some(ont) if self.conservative_tau => {
-                // Any future entity could map to the shallowest node.
-                tau_min(theta, [ont.min_node_depth()])
-            }
-            Some(ont) => tau_min(
-                theta,
-                self.group
-                    .entities()
-                    .iter()
-                    .filter_map(|e| e.value(attr).node)
-                    .map(|n| ont.depth(n)),
-            ),
-        }
+        let nodes = group.entities().iter().filter_map(|e| e.value(pred.attr).node);
+        self.tau_cache.entry((pred.attr, pred.threshold.to_bits())).or_insert_with(|| {
+            let ont = group.ontology(pred.attr);
+            ont.map_or(1, |ont| tau_min(pred.threshold, nodes.map(|n| ont.depth(n))))
+        });
     }
 }
 
-/// The predicate subset a positive rule's composite tuples are built from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct PositiveRulePlan {
-    /// Indices into the rule's predicate list.
-    pub(crate) chosen: Vec<usize>,
-}
-
-/// Whether a predicate is satisfied by every pair regardless of values
-/// (threshold-only check — mirrors the `Trivial` signature outcomes).
-fn is_trivially_true(pred: &Predicate) -> bool {
-    pred.func != SimilarityFn::EditDistance && pred.threshold <= 0.0
+/// Whether every value of `attr` has at most [`MAX_COMPOSITE`] Pass-Join
+/// probe keys under `bound`.
+fn pass_join_fits(group: &Group, attr: usize, bound: EditBound) -> bool {
+    let mut lens: Vec<u32> = group.entities().iter().map(|e| e.value(attr).char_len).collect();
+    lens.sort_unstable();
+    lens.dedup();
+    lens.into_iter().all(|len| probe_count(len as usize, bound) <= MAX_COMPOSITE)
 }
 
 /// Folds one entity's per-predicate signatures into composite tuples under
@@ -503,18 +448,18 @@ fn is_trivially_true(pred: &Predicate) -> bool {
 /// Pass-Join predicate.
 fn compose_row(
     row: &[PredSigs],
-    plan: &PositiveRulePlan,
+    plan: &[usize],
     swap: Option<(usize, &[u64])>,
 ) -> Option<Vec<u64>> {
-    if plan.chosen.is_empty() {
+    if plan.is_empty() {
         return None; // nothing to index on: brute force
     }
     // Unsatisfiable on ANY non-trivial predicate → never matches.
     if row.iter().any(|p| matches!(p, PredSigs::Sigs(s) if s.is_empty())) {
         return Some(Vec::new());
     }
-    let mut parts: Vec<&[u64]> = Vec::with_capacity(plan.chosen.len());
-    for &pi in &plan.chosen {
+    let mut parts: Vec<&[u64]> = Vec::with_capacity(plan.len());
+    for &pi in plan {
         match (&row[pi], swap) {
             (PredSigs::Sigs(_), Some((sp, probe))) if sp == pi => parts.push(probe),
             (PredSigs::Sigs(s), _) => parts.push(s),
@@ -527,9 +472,9 @@ fn compose_row(
     // are only comparable when every entity composes over the same
     // predicate subset, so an entity whose cross product would blow the
     // budget cannot simply emit fewer components — it becomes a wildcard
-    // and is verified against everything instead. (The batch planner sizes
-    // the subset so this cannot trigger; it protects the incremental path,
-    // whose plan is fixed before the data is seen.)
+    // and is verified against everything instead. (The planner sizes the
+    // subset so this cannot trigger on the rows it saw; it protects a live
+    // add keyed under the plan of an earlier build.)
     let product: usize = parts.iter().map(|p| p.len().max(1)).product();
     if product > MAX_COMPOSITE {
         return None;
@@ -576,13 +521,15 @@ pub(crate) struct RuleSigs {
     /// attribute, so a value probes for shorter partners and for as long
     /// ones of larger id.
     pub(crate) rank: Vec<u32>,
+    /// The predicates the tuples are composed over, by index.
+    pub(crate) plan: Vec<usize>,
 }
 
 impl RuleSigs {
     /// Signatures whose probe keys are their index keys.
-    fn symmetric(index: Vec<Option<Vec<u64>>>) -> Self {
+    fn symmetric(index: Vec<Option<Vec<u64>>>, plan: Vec<usize>) -> Self {
         let rank = (0..index.len() as u32).rev().collect();
-        Self { index, probe: None, rank }
+        Self { index, probe: None, rank, plan }
     }
 
     /// Entity `e`'s probe keys; `None` for a wildcard.
@@ -869,7 +816,7 @@ mod tests {
         let mut ctx = SigContext::new(&g);
         let pred = Predicate::new(1, SimilarityFn::Overlap, 2.0);
         // KATARA has 6 authors → prefix 6-2+1 = 5 signatures.
-        let s = ctx.predicate_sigs(g.entity(1), &pred);
+        let s = ctx.predicate_sigs(&g, g.entity(1), &pred);
         assert_eq!(sigs(&s).len(), 5);
     }
 
@@ -881,7 +828,7 @@ mod tests {
         let g = b.build();
         let mut ctx = SigContext::new(&g);
         let pred = Predicate::new(0, SimilarityFn::Overlap, 2.0);
-        let s = ctx.predicate_sigs(g.entity(0), &pred);
+        let s = ctx.predicate_sigs(&g, g.entity(0), &pred);
         assert!(sigs(&s).is_empty());
     }
 
@@ -890,10 +837,10 @@ mod tests {
         let g = figure1_group();
         let mut ctx = SigContext::new(&g);
         let pred = Predicate::new(1, SimilarityFn::Overlap, 0.0);
-        assert_eq!(ctx.predicate_sigs(g.entity(0), &pred), PredSigs::Trivial);
+        assert_eq!(ctx.predicate_sigs(&g, g.entity(0), &pred), PredSigs::Trivial);
         // A rule of only trivial predicates indexes nothing → wildcard.
         let rule = Rule::positive(vec![pred]);
-        assert!(ctx.positive_rule_signatures(&rule).index.iter().all(Option::is_none));
+        assert!(ctx.positive_rule_signatures(&g, &rule).index.iter().all(Option::is_none));
     }
 
     #[test]
@@ -903,13 +850,13 @@ mod tests {
         let pred = Predicate::new(2, SimilarityFn::Ontology, 0.75);
         // SIGMOD (entity 1) and VLDB (entity 2) and ICDE (entity 3) share a
         // database node signature.
-        let s1 = sigs(&ctx.predicate_sigs(g.entity(1), &pred)).clone();
-        let s2 = sigs(&ctx.predicate_sigs(g.entity(2), &pred)).clone();
-        let s3 = sigs(&ctx.predicate_sigs(g.entity(3), &pred)).clone();
+        let s1 = sigs(&ctx.predicate_sigs(&g, g.entity(1), &pred)).clone();
+        let s2 = sigs(&ctx.predicate_sigs(&g, g.entity(2), &pred)).clone();
+        let s3 = sigs(&ctx.predicate_sigs(&g, g.entity(3), &pred)).clone();
         assert_eq!(s1, s2);
         assert_eq!(s1, s3);
         // The chemistry venue maps elsewhere.
-        let s5 = sigs(&ctx.predicate_sigs(g.entity(5), &pred)).clone();
+        let s5 = sigs(&ctx.predicate_sigs(&g, g.entity(5), &pred)).clone();
         assert_ne!(s1, s5);
     }
 
@@ -920,7 +867,7 @@ mod tests {
         let mut ctx = SigContext::new(&g);
         // ϕ2+ (overlap ≥ 1 ∧ ontology ≥ 0.75): entities 1 and 3 share the
         // (nan tang, database) tuple.
-        let all = ctx.positive_rule_signatures(&pos[1]).index;
+        let all = ctx.positive_rule_signatures(&g, &pos[1]).index;
         let s1 = all[1].as_ref().unwrap();
         let s3 = all[3].as_ref().unwrap();
         assert!(s1.iter().any(|x| s3.contains(x)), "composite tuples must intersect");
@@ -937,7 +884,7 @@ mod tests {
         let (pos, _) = paper_rules();
         let mut ctx = SigContext::new(&g);
         for rule in &pos {
-            let all = ctx.positive_rule_signatures(rule);
+            let all = ctx.positive_rule_signatures(&g, rule);
             for i in 0..g.len() {
                 for j in i + 1..g.len() {
                     if rule.eval(&g, g.entity(i), g.entity(j)) {
@@ -966,7 +913,7 @@ mod tests {
         assert!(pred.eval(&g, g.entity(0), g.entity(1), Polarity::Positive));
         let rule = Rule::positive(vec![pred]);
         let mut ctx = SigContext::new(&g);
-        let all = ctx.positive_rule_signatures(&rule);
+        let all = ctx.positive_rule_signatures(&g, &rule);
         assert!(all.pairs(0, 1), "boundary pair must share a signature");
     }
 
@@ -1073,7 +1020,7 @@ mod tests {
             assert!(probe_count(120, EditBound::Similarity(theta)) > MAX_COMPOSITE);
             let rule = Rule::positive(vec![Predicate::new(0, SimilarityFn::EditSimilarity, theta)]);
             let g = text_group(&long);
-            let sigs = SigContext::new(&g).positive_rule_signatures(&rule);
+            let sigs = SigContext::new(&g).positive_rule_signatures(&g, &rule);
             assert!(sigs.probe.is_none(), "θ = {theta}: long values keep q-gram keys");
             assert!(sigs.index.iter().all(Option::is_some), "θ = {theta}: a wildcard");
             let mut satisfied = 0;
@@ -1087,7 +1034,7 @@ mod tests {
             }
             assert!(satisfied >= 6, "θ = {theta}: only {satisfied} satisfying pairs");
             let g = text_group(&short);
-            assert!(SigContext::new(&g).positive_rule_signatures(&rule).probe.is_some());
+            assert!(SigContext::new(&g).positive_rule_signatures(&g, &rule).probe.is_some());
         }
     }
 
@@ -1199,7 +1146,7 @@ mod tests {
             for func in [SimilarityFn::Jaccard, SimilarityFn::Dice, SimilarityFn::Cosine] {
                 let pred = Predicate::new(0, func, theta);
                 let rule = Rule::positive(vec![pred]);
-                let all = ctx.positive_rule_signatures(&rule);
+                let all = ctx.positive_rule_signatures(&g, &rule);
                 for i in 0..g.len() {
                     for j in i + 1..g.len() {
                         let sim = pred.similarity(&g, g.entity(i), g.entity(j));
@@ -1225,7 +1172,7 @@ mod tests {
             let g = b.build();
             let mut ctx = SigContext::new(&g);
             let pos = Rule::positive(vec![Predicate::new(0, SimilarityFn::Overlap, theta as f64)]);
-            let psigs = ctx.positive_rule_signatures(&pos);
+            let psigs = ctx.positive_rule_signatures(&g, &pos);
             for i in 0..g.len() {
                 for j in 0..g.len() {
                     if i != j && pos.eval(&g, g.entity(i), g.entity(j)) {

@@ -56,6 +56,16 @@ impl ConcurrentUnionFind {
         Self { parent: (0..len as u32).map(AtomicU32::new).collect(), merges: AtomicU64::new(0) }
     }
 
+    /// Appends a singleton set and returns its element id — how a growing
+    /// group's forest takes a new entity. Exclusive access, so no worker
+    /// can be reading the forest meanwhile.
+    pub fn push(&mut self) -> usize {
+        let id = self.parent.len();
+        assert!(id < u32::MAX as usize, "element ids must fit in u32");
+        self.parent.push(AtomicU32::new(id as u32));
+        id
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.parent.len()
@@ -189,6 +199,16 @@ mod tests {
         assert!(uf.union(0, 1));
         assert!(!uf.union(1, 0));
         assert_eq!(uf.component_count(), 3);
+    }
+
+    #[test]
+    fn push_appends_a_singleton() {
+        let mut uf = ConcurrentUnionFind::new(2);
+        uf.union(0, 1);
+        assert_eq!(uf.push(), 2);
+        assert!(!uf.same(1, 2));
+        uf.union(2, 0);
+        assert_eq!(uf.components(), vec![vec![0, 1, 2]]);
     }
 
     #[test]

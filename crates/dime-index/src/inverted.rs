@@ -77,6 +77,19 @@ impl InvertedIndex {
         }
     }
 
+    /// Removes `entity` from every list and shifts every larger id down by
+    /// one, dropping the lists it leaves empty: what a group whose ids
+    /// compact on removal needs. Lists keep their order.
+    pub fn remove_entity(&mut self, entity: u32) {
+        self.lists.retain(|_, list| {
+            list.retain(|&e| e != entity);
+            for e in list.iter_mut().filter(|e| **e > entity) {
+                *e -= 1;
+            }
+            !list.is_empty()
+        });
+    }
+
     /// The inverted list for `signature`, if any. Counted as one probe.
     pub fn list(&self, signature: u64) -> Option<&[u32]> {
         // dime-check: allow(atomic-ordering) — monotone probe counter; no reader orders against it
@@ -182,6 +195,19 @@ mod tests {
         assert_eq!(idx.probe_count(), 2);
         let copy = idx.clone();
         assert_eq!(copy.probe_count(), 2);
+    }
+
+    #[test]
+    fn remove_entity_compacts_ids() {
+        let mut idx = InvertedIndex::new();
+        for (sig, e) in [(1, 0), (1, 2), (1, 3), (2, 2), (3, 1)] {
+            idx.insert(sig, e);
+        }
+        idx.remove_entity(2);
+        assert_eq!(idx.list(1), Some(&[0u32, 2][..]));
+        assert_eq!(idx.list(2), None);
+        assert_eq!(idx.list(3), Some(&[1u32][..]));
+        assert_eq!(idx.len(), 2);
     }
 
     #[test]

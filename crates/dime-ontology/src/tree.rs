@@ -170,13 +170,6 @@ impl Ontology {
         self.ancestor_at_depth(node, self.depth(anc)) == Some(anc)
     }
 
-    /// The minimum depth of any non-root node (the root's depth, 1, if the
-    /// tree has only a root). A lower bound for any value an entity could
-    /// map to — used for conservative signature depths.
-    pub fn min_node_depth(&self) -> u32 {
-        self.nodes.iter().skip(1).map(|n| n.depth).min().unwrap_or(1)
-    }
-
     /// All leaves (nodes without children).
     pub fn leaves(&self) -> Vec<NodeId> {
         (0..self.nodes.len() as NodeId)
@@ -332,13 +325,6 @@ mod tests {
         let (o, _, sigmod, ..) = sample();
         assert_eq!(o.path_of(sigmod), vec!["computer science", "database", "sigmod"]);
         assert!(o.path_of(o.root()).is_empty());
-    }
-
-    #[test]
-    fn min_node_depth_is_two_for_populated_tree() {
-        let (o, ..) = sample();
-        assert_eq!(o.min_node_depth(), 2);
-        assert_eq!(Ontology::new("solo").min_node_depth(), 1);
     }
 
     #[test]

@@ -32,8 +32,10 @@
 #                 lock-order, wal-tag-exhaustive) with zero unsuppressed
 #                 findings
 #   clippy        lint-clean across all targets, warnings denied
-#   bench-smoke   exp_check --smoke: the three engines must agree on a
-#                 tiny generated group inside a generous time ceiling
+#   bench-smoke   exp_check --smoke: the three batch engines and the
+#                 live engine (created, grown by adds, reopened) must
+#                 agree on a tiny generated group inside a generous time
+#                 ceiling
 #   bench-micro   exp_micro smoke: the similarity-kernel microbenchmark
 #                 driver runs end to end on a small pair count (the
 #                 committed JSON is refreshed by bench-json)

@@ -6,12 +6,15 @@
 //! * **Positive phase.** Per positive rule, every entity emits composite
 //!   signatures ([`crate::signature`]); inverted lists turn shared
 //!   signatures into candidate pairs. One pass per entity gathers its
-//!   partners, drops those the edit bound refutes, and verifies the rest
-//!   in id order against the live union-find, skipping pairs already
-//!   connected through transitivity — the paper's footnote-4
-//!   constant-time check. The paper's global benefit order `B = P/C` is
-//!   not used: nearly every candidate is already connected by the time
-//!   it would be verified, so ranking them cost more than it saved
+//!   partners, drops those already connected through transitivity — the
+//!   paper's footnote-4 constant-time check, read from the live
+//!   union-find — and those the edit bound refutes, and verifies the rest
+//!   in id order, skipping pairs connected meanwhile. The check also runs
+//!   once per list: a list whose members below an entity are all
+//!   connected to it is *settled*, and a later entity of that component
+//!   skips it unread. The paper's global benefit order `B = P/C` is not
+//!   used: nearly every candidate is already connected by the time it
+//!   would be verified, so ranking them cost more than it saved
 //!   (DESIGN.md §8).
 //! * **Negative phase.** Per negative rule, the pivot's tokens get
 //!   postings to the pivot entities holding them, and each partition walks
@@ -33,12 +36,14 @@ use crate::rule::Rule;
 use crate::signature::{RuleSigs, SigContext};
 use dime_index::ConcurrentUnionFind;
 use dime_trace::{span, RuleKind, TraceSink, NOOP};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Tuning knobs for DIME⁺ (all defaults match the paper's design).
 #[derive(Debug, Clone, Copy)]
 pub struct DimePlusConfig {
-    /// Skip candidate pairs already connected via union-find (`true`).
-    /// Exposed for the ablation benchmarks.
+    /// Skip candidate pairs, and settled postings lists, already
+    /// connected via union-find (`true`). Exposed for the ablation
+    /// benchmarks.
     pub transitivity_skip: bool,
     /// Worker threads for the filter–verify phases. There is one engine:
     /// signature generation, candidate gathering, verification, and
@@ -141,9 +146,12 @@ pub fn discover_fast_with(
 ///
 /// The five phase names tile the run: they never nest, so their summed
 /// durations account for the whole wall-clock up to the (trivial)
-/// book-keeping between phases. Tracing never changes the result — hot
-/// loops accumulate plain local counters and flush once per phase, and a
-/// disabled sink ([`dime_trace::NoopSink`]) skips even the clock reads.
+/// book-keeping between phases. Inside `signature_build`, nested spans
+/// split out the token order (`sig_context`), the packed arena
+/// (`verify_arena`) and each positive rule's keys (`rule_keys`). Tracing
+/// never changes the result — hot loops accumulate plain local counters
+/// and flush once per phase, and a disabled sink
+/// ([`dime_trace::NoopSink`]) skips even the clock reads.
 pub fn discover_fast_traced(
     group: &Group,
     positive: &[Rule],
@@ -157,7 +165,12 @@ pub fn discover_fast_traced(
     let workers = resolve_threads(config.threads);
     let (mut ctx, arena) = {
         let _s = span(sink, "signature_build");
-        (SigContext::new(group), VerifyArena::new(group))
+        let ctx = {
+            let _c = span(sink, "sig_context");
+            SigContext::new(group)
+        };
+        let _a = span(sink, "verify_arena");
+        (ctx, VerifyArena::new(group))
     };
 
     // ---- Step 1: partitions via sharded filter + verification.
@@ -165,10 +178,9 @@ pub fn discover_fast_traced(
     for (ri, rule) in positive.iter().enumerate() {
         let (compiled, sigs) = {
             let _s = span(sink, "signature_build");
-            (
-                arena.compile(rule),
-                ctx.positive_rule_signatures_threaded(group, rule, workers, false),
-            )
+            let compiled = arena.compile(rule);
+            let _k = span(sink, "rule_keys");
+            (compiled, ctx.positive_rule_signatures_threaded(group, rule, workers, false))
         };
         verify_positive_rule(&arena, &compiled, &sigs, &uf, config, workers, sink, ri);
         // Freeing the rule's keys is index work too.
@@ -206,21 +218,24 @@ const BLOCK: usize = 64;
 /// entities in blocks of [`BLOCK`]:
 ///
 /// 1. **Gather** ([`Candidates::gather`]). Each `a` collects its later
-///    partners from the postings, drops those connected to it in the root
-///    snapshot taken before the rule and those the compiled rule's edit
-///    bound refutes, and keeps the rest in ascending order.
+///    partners from the postings, skipping the lists settled for it, drops
+///    those already connected to it in the live forest and those the
+///    compiled rule's edit bound refutes, and keeps the rest in ascending
+///    order.
 /// 2. **Verify.** The block's pairs, in `(a, b)` order, against the live
-///    forest: a pair already connected is skipped (the paper's footnote-4
-///    transitivity check), and any other is verified and merged if it
-///    holds.
+///    forest: a pair connected since it was gathered is skipped (the
+///    paper's footnote-4 transitivity check), and any other is verified
+///    and merged if it holds.
 ///
-/// Gathering reads the snapshot, never the live forest, so the candidate
-/// and bound counters do not depend on the worker count; at more than one
-/// worker, which candidates are verified or skipped does. The result does
-/// not: a pair's verification outcome never depends on union-find state,
-/// a skipped pair is already connected, and a pair the bound drops would
-/// fail verification, so the final components are the connected closure
-/// of the satisfying candidate pairs under any interleaving.
+/// Both steps read the live forest, so at more than one worker which
+/// pairs are gathered, pruned, verified or skipped depends on the
+/// interleaving; at one worker, the pairs verified are exactly those a
+/// plain per-pair check would verify. The result does not depend on it: a
+/// pair's verification outcome never depends on union-find state, a
+/// dropped or skipped pair is already connected, and a pair the bound
+/// drops would fail verification, so the final components are the
+/// connected closure of the satisfying candidate pairs under any
+/// interleaving.
 ///
 /// Phase spans come from the calling thread only. At one shard, each
 /// block's gather is an `index_probe` span and its verification a
@@ -243,12 +258,8 @@ pub(crate) fn verify_positive_rule(
         return 0;
     }
     let probe = span(sink, "index_probe");
-    // The forest as the rule finds it: gathering drops the pairs connected
-    // here, the verify loop those connected since.
-    let roots: Vec<u32> =
-        (0..n).map(|x| if config.transitivity_skip { uf.find(x) } else { x } as u32).collect();
     let open = |a: u32, b: u32| arena.bound_open(compiled, a as usize, b as usize);
-    let candidates = Candidates::new(sigs, roots, open);
+    let candidates = Candidates::new(sigs, config.transitivity_skip.then_some(uf), open);
     drop(probe);
 
     let shards = if n < crate::par::SEQ_CUTOFF { 1 } else { workers };
@@ -401,62 +412,102 @@ fn flag_partitions(
 }
 
 /// One positive rule's candidate source: its signatures and postings, the
-/// union-find roots from before the rule, and the edit bound.
+/// live forest, each list's settled record, and the edit bound.
 struct Candidates<'s, F> {
     /// The rule's signatures: wildcards pair with everyone.
     sigs: &'s RuleSigs,
     postings: Postings,
     /// The wildcard entities, ascending (they have no postings).
     wildcards: Vec<u32>,
-    /// Per entity, its root in the snapshot.
-    roots: Vec<u32>,
+    /// The live forest, read to drop partners already connected; `None`
+    /// without transitivity skipping.
+    uf: Option<&'s ConcurrentUnionFind>,
+    /// Per list, `rep + 1`, or 0 before any: every member ranked below
+    /// entity `rep` is connected to it, so `rank[rep]` is the watermark.
+    settled: Vec<AtomicU32>,
     /// `open(a, b)` is `false` only for pairs that fail the rule.
     open: F,
 }
 
 impl<'s, F: Fn(u32, u32) -> bool> Candidates<'s, F> {
-    fn new(sigs: &'s RuleSigs, roots: Vec<u32>, open: F) -> Self {
+    fn new(sigs: &'s RuleSigs, uf: Option<&'s ConcurrentUnionFind>, open: F) -> Self {
         let wildcards =
             (0u32..).zip(&sigs.index).filter(|(_, s)| s.is_none()).map(|(e, _)| e).collect();
-        Self { sigs, postings: Postings::new(sigs), wildcards, roots, open }
+        let postings = Postings::new(sigs);
+        let settled = postings.signatures.iter().map(|_| AtomicU32::new(0)).collect();
+        Self { sigs, postings, wildcards, uf, settled, open }
     }
 
     /// Appends `a`'s candidate pairs `(a, b)` to `scratch.pairs`, ascending
     /// by `b`: the entities ranked below `a` on a list `a` probes (all
     /// entities after `a` when `a` is a wildcard) and the wildcards after
-    /// `a`, less those in `a`'s snapshot component and those the bound
-    /// refutes. Returns how many the bound refuted.
+    /// `a`, less those connected to `a` in the live forest and those the
+    /// bound refutes. Returns how many the bound refuted.
     ///
     /// Each pair is gathered once: a wildcard pair from its smaller id, any
     /// other from its higher-ranked side — under a symmetric rule again the
     /// smaller id, under a Pass-Join rule the longer value, or the smaller
     /// id at equal length.
+    ///
+    /// A list whose slice below `a` is not empty and turns out connected to
+    /// `a` throughout is *settled* at `a`'s rank. A later prober ranked no
+    /// higher and connected to `a` would find nothing on that slice but
+    /// partners connected to it, so it skips the list unread: the paper's
+    /// footnote-4 transitivity check, once per list instead of per pair.
+    /// Connectivity only grows, so a record never turns false, and a stale
+    /// read only skips less.
     fn gather(&self, a: u32, scratch: &mut Scratch) -> u64 {
+        // A partner is dropped when its root is `a`'s: both are then
+        // connected to that node, and stay so.
+        let root = self.uf.map(|uf| (uf, uf.find(a as usize)));
+        let joined = |b: u32| root.is_some_and(|(uf, r)| uf.find(b as usize) == r);
         let partners = &mut scratch.partners;
         match self.sigs.probe(a as usize) {
-            None => partners.extend(a + 1..self.sigs.index.len() as u32),
+            None => partners.extend((a + 1..self.sigs.index.len() as u32).filter(|&b| !joined(b))),
             Some(own) => {
                 let rank = self.sigs.rank[a as usize];
+                // `stamp[b]` is `seen | joined`: `b` met on an earlier list.
+                let seen = u64::from(a + 1) << 1;
                 for &sig in own {
-                    for &b in self.postings.below(sig, rank, &self.sigs.rank) {
-                        if std::mem::replace(&mut scratch.stamp[b as usize], a + 1) != a + 1 {
+                    let Ok(l) = self.postings.signatures.binary_search(&sig) else {
+                        continue;
+                    };
+                    // Acquire: pairs with the Release that settled the list.
+                    let rep = self.settled[l].load(Ordering::Acquire).checked_sub(1);
+                    let mark = rep.map(|rep| self.sigs.rank[rep as usize]);
+                    if mark.is_some_and(|mark| rank <= mark) && rep.is_some_and(joined) {
+                        continue;
+                    }
+                    let slice = self.postings.below(l, rank, &self.sigs.rank);
+                    let mut settled = root.is_some() && !slice.is_empty();
+                    for &b in slice {
+                        let stamp = &mut scratch.stamp[b as usize];
+                        if *stamp & !1 == seen {
+                            settled &= *stamp & 1 == 1;
+                            continue;
+                        }
+                        let j = joined(b);
+                        *stamp = seen | u64::from(j);
+                        settled &= j;
+                        if !j {
                             partners.push(b);
                         }
                     }
+                    // A higher watermark wins; a racing store it overwrites
+                    // only means less skipping.
+                    if settled && mark.is_none_or(|mark| rank > mark) {
+                        self.settled[l].store(a + 1, Ordering::Release);
+                    }
                 }
-                partners.extend_from_slice(
-                    &self.wildcards[self.wildcards.partition_point(|&w| w <= a)..],
-                );
+                let after = self.wildcards.partition_point(|&w| w <= a);
+                partners.extend(self.wildcards[after..].iter().filter(|&&w| !joined(w)));
             }
         }
-        let root = self.roots[a as usize];
         let mut pruned = 0;
         partners.retain(|&b| {
-            self.roots[b as usize] != root && {
-                let open = (self.open)(a, b);
-                pruned += u64::from(!open);
-                open
-            }
+            let open = (self.open)(a, b);
+            pruned += u64::from(!open);
+            open
         });
         // Only the survivors are sorted: the bound refutes most of an
         // edit rule's partners.
@@ -468,9 +519,10 @@ impl<'s, F: Fn(u32, u32) -> bool> Candidates<'s, F> {
 
 /// One shard's gather buffers.
 struct Scratch {
-    /// `stamp[b] == a + 1` once `b` is gathered for `a`, so a partner
-    /// sharing several signatures is gathered once.
-    stamp: Vec<u32>,
+    /// `stamp[b]` is `(a + 1) << 1`, plus 1 when `b` is connected to `a`,
+    /// once `b` is met for `a`, so a partner sharing several signatures is
+    /// looked at once.
+    stamp: Vec<u64>,
     /// The partners of the entity being gathered.
     partners: Vec<u32>,
     /// The block's candidate pairs, in `(a, b)` order.
@@ -516,12 +568,8 @@ impl Postings {
         Self { signatures, starts, entities }
     }
 
-    /// The entities of rank below `rank` on the list of `sig`; none when
-    /// no entity indexes `sig`.
-    fn below(&self, sig: u64, rank: u32, ranks: &[u32]) -> &[u32] {
-        let Ok(l) = self.signatures.binary_search(&sig) else {
-            return &[];
-        };
+    /// The entities of rank below `rank` on list `l`.
+    fn below(&self, l: usize, rank: u32, ranks: &[u32]) -> &[u32] {
         let list = &self.entities[self.starts[l]..self.starts[l + 1]];
         &list[..list.partition_point(|&x| ranks[x as usize] < rank)]
     }
@@ -804,7 +852,8 @@ pub(crate) mod tests {
     /// Pins the one-worker engine's traced counters on the golden group:
     /// candidate generation and verification may be re-implemented, but
     /// never change what the engine counts. Only the
-    /// candidates the edit bound leaves open are verified or skipped.
+    /// candidates the edit bound leaves open are verified or skipped, and
+    /// only those not yet connected when gathered are candidates.
     #[test]
     fn golden_counters_sequential() {
         use dime_trace::Recorder;
@@ -814,10 +863,10 @@ pub(crate) mod tests {
         assert_eq!(got, discover_naive(&g, &pos, &neg));
         let report = rec.snapshot();
         let golden = [
-            ("candidate_pairs", 2413),
+            ("candidate_pairs", 2335),
             ("pairs_verified", 721),
-            ("pairs_skipped_transitivity", 147),
-            ("pairs_pruned_bound", 1545),
+            ("pairs_skipped_transitivity", 71),
+            ("pairs_pruned_bound", 1543),
             ("uf_merges", 145),
             ("index_probes", 1858),
             ("signatures_built", 2649),
@@ -827,9 +876,11 @@ pub(crate) mod tests {
         assert_eq!(counters, golden, "golden counters moved");
     }
 
-    /// The filter-side counters are a property of the group and the rules,
-    /// not of the worker count: one probe per distinct signature list, one
-    /// candidate per surviving pair, one posting per (signature, entity).
+    /// The keying counters are a property of the group and the rules, not
+    /// of the worker count: one probe per distinct signature list, one
+    /// posting per (signature, entity); so is the merge count, which the
+    /// final partition fixes. What is gathered, pruned, verified or
+    /// skipped reads the live forest, so it is not (see `check_gather`).
     #[test]
     fn filter_counters_agree_across_thread_counts() {
         use dime_trace::Recorder;
@@ -839,16 +890,10 @@ pub(crate) mod tests {
             let cfg = DimePlusConfig::with_threads(threads);
             let _ = discover_fast_traced(&g, &pos, &neg, cfg, &rec);
             let report = rec.snapshot();
-            [
-                "candidate_pairs",
-                "pairs_pruned_bound",
-                "index_probes",
-                "signatures_built",
-                "uf_merges",
-            ]
-            .iter()
-            .map(|name| report.counter(name))
-            .collect()
+            ["index_probes", "signatures_built", "wildcard_entities", "uf_merges"]
+                .iter()
+                .map(|name| report.counter(name))
+                .collect()
         };
         let sequential = counters(1);
         for threads in [2usize, 4] {
@@ -865,7 +910,6 @@ pub(crate) mod tests {
         for (g, pos, neg) in [golden_workload(), edit_shaped_workload()] {
             let arena = VerifyArena::new(&g);
             let mut ctx = SigContext::new(&g);
-            let roots: Vec<u32> = (0..g.len() as u32).collect();
             for rule in &pos {
                 let compiled = arena.compile(rule);
                 let sigs = ctx.positive_rule_signatures(&g, rule);
@@ -877,7 +921,7 @@ pub(crate) mod tests {
                     }
                     open
                 };
-                let candidates = Candidates::new(&sigs, roots.clone(), open);
+                let candidates = Candidates::new(&sigs, None, open);
                 let mut scratch = Scratch::new(g.len());
                 let pruned: u64 =
                     (0..g.len() as u32).map(|a| candidates.gather(a, &mut scratch)).sum();
@@ -1138,6 +1182,27 @@ pub(crate) mod tests {
         }
     }
 
+    /// `signature_build` breaks down one level deep: the token order, the
+    /// arena and each rule's keys are spans at depth 1, and they sum to no
+    /// more than the phase.
+    #[test]
+    fn signature_build_parts_nest_inside_the_phase() {
+        use dime_trace::Recorder;
+        let (g, pos, neg) = golden_workload();
+        let rec = Recorder::new();
+        let _ = discover_fast_traced(&g, &pos, &neg, DimePlusConfig::default(), &rec);
+        let report = rec.snapshot();
+        let parts = ["sig_context", "verify_arena", "rule_keys"];
+        for part in parts {
+            let spans: Vec<_> = report.spans.iter().filter(|s| s.name == part).collect();
+            let want = if part == "rule_keys" { pos.len() } else { 1 };
+            assert_eq!(spans.len(), want, "{part}");
+            assert!(spans.iter().all(|s| s.depth == 1), "{part} not at depth 1");
+        }
+        let summed: u64 = parts.iter().map(|p| report.phase_total_ns(p)).sum();
+        assert!(summed <= report.phase_total_ns("signature_build"));
+    }
+
     #[test]
     fn single_entity_group() {
         let schema = Schema::new([("A", TokenizerKind::Words)]);
@@ -1167,10 +1232,15 @@ pub(crate) mod tests {
     /// Runs [`verify_positive_rule`] for each of `rules` on `g`, with
     /// `links` merged into the forest first, at 1, 2 and 4 workers, and
     /// checks it against brute force. The candidates are the pairs that
-    /// share a signature (or have a wildcard side) and sit in different
-    /// snapshot roots; the bound drops the candidates it refutes; every
-    /// other candidate is verified or skipped; and the forest ends as the
-    /// closure of the links and of every pair that satisfies the rule.
+    /// share a signature (or have a wildcard side) and are not linked
+    /// beforehand. The pass gathers no more of them than that, for the
+    /// live forest drops those connected meanwhile; the bound drops only
+    /// candidates it refutes; every other gathered pair is verified or
+    /// skipped; and the forest ends as the closure of the links and of
+    /// every pair that satisfies the rule. At one worker, the pairs
+    /// verified are exactly those a replay of the bound-open candidates
+    /// finds unconnected, in the order the pass verifies them: by the
+    /// side that probes the pair, then by its partner.
     fn check_gather(g: &Group, links: &[(usize, usize)], rules: &[Rule]) {
         use dime_trace::Recorder;
         let n = g.len();
@@ -1187,7 +1257,7 @@ pub(crate) mod tests {
             let compiled = arena.compile(rule);
             let sigs = ctx.positive_rule_signatures(g, rule);
             let (snapshot, closure) = (linked(), linked());
-            let (mut candidates, mut refuted) = (0u64, 0u64);
+            let (mut candidates, mut refuted, mut open) = (0u64, 0u64, Vec::new());
             for a in 0..n {
                 for b in a + 1..n {
                     if rule.eval(g, g.entity(a), g.entity(b)) {
@@ -1195,10 +1265,31 @@ pub(crate) mod tests {
                     }
                     if sigs.pairs(a, b) && !snapshot.same(a, b) {
                         candidates += 1;
-                        refuted += u64::from(!arena.bound_open(&compiled, a, b));
+                        if !arena.bound_open(&compiled, a, b) {
+                            refuted += 1;
+                        } else if sigs.index[a].is_none()
+                            || sigs.index[b].is_none()
+                            || sigs.rank[a] > sigs.rank[b]
+                        {
+                            open.push((a, b));
+                        } else {
+                            open.push((b, a));
+                        }
                     }
                 }
             }
+            open.sort_unstable();
+            let replay = linked();
+            let unconnected = open
+                .iter()
+                .filter(|&&(a, b)| {
+                    let fresh = !replay.same(a, b);
+                    if fresh && rule.eval(g, g.entity(a), g.entity(b)) {
+                        replay.union(a, b);
+                    }
+                    fresh
+                })
+                .count() as u64;
             for workers in [1usize, 2, 4] {
                 let (uf, rec) = (linked(), Recorder::new());
                 let cfg = DimePlusConfig::default();
@@ -1211,10 +1302,13 @@ pub(crate) mod tests {
                     "pairs_skipped_transitivity",
                 ]
                 .map(|name| report.counter(name));
-                assert_eq!(gathered, candidates, "{rule}, workers = {workers}");
-                assert_eq!(pruned, refuted, "{rule}, workers = {workers}");
-                assert_eq!(verified + skipped, candidates - refuted, "{rule}, workers = {workers}");
+                assert!(gathered <= candidates, "{rule}, workers = {workers}");
+                assert!(pruned <= refuted, "{rule}, workers = {workers}");
+                assert_eq!(verified + skipped, gathered - pruned, "{rule}, workers = {workers}");
                 assert_eq!(uf.components(), closure.components(), "{rule}, workers = {workers}");
+                if workers == 1 {
+                    assert_eq!(verified, unconnected, "{rule}");
+                }
             }
         }
     }

@@ -992,6 +992,39 @@ mod tests {
         }
     }
 
+    /// A positive `ontology ≥ θ` with θ outside [0, 1] keys as its clamp
+    /// into [0, 1] does: θ = 1.5 never holds and θ = −0.5 always does. The
+    /// batch engine, a live build over the rows, and adds after it (an
+    /// area and a field among them, which would lower `τ_min`) all match
+    /// the naive engine.
+    #[test]
+    fn ontology_thresholds_outside_the_unit_interval() {
+        let nodes = live_base().1;
+        let neg = live_rules().1;
+        let rows: Vec<LiveRow> =
+            (0..30).map(|i| (format!("t{}", i % 7), vec![i as u32 % 9], i % 12)).collect();
+        let later: Vec<LiveRow> = (12..16).map(|v| ("t".into(), vec![v as u32], v)).collect();
+        for theta in [1.5, -0.5] {
+            let pos = vec![
+                Rule::positive(vec![Predicate::new(2, SimilarityFn::Ontology, theta)]),
+                Rule::positive(vec![
+                    Predicate::new(1, SimilarityFn::Overlap, 1.0),
+                    Predicate::new(2, SimilarityFn::Ontology, theta),
+                ]),
+            ];
+            let g = live_group(&rows);
+            let naive = discover_naive(&g, &pos, &neg);
+            assert_eq!(crate::discover_fast(&g, &pos, &neg), naive, "θ = {theta}");
+            let mut inc = IncrementalDime::new(g, pos.clone(), neg.clone());
+            assert_eq!(inc.discovery(), naive, "θ = {theta}");
+            for row in &later {
+                add_row(&mut inc, &nodes, row);
+            }
+            let all: Vec<LiveRow> = rows.iter().chain(&later).cloned().collect();
+            assert_eq!(inc.discovery(), discover_naive(&live_group(&all), &pos, &neg));
+        }
+    }
+
     /// `set_rules` on an empty session whose sink is enabled skips the
     /// batch pass, whose candidate counters would underflow on no rows.
     #[test]

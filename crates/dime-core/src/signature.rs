@@ -280,7 +280,7 @@ impl SigContext {
             let built = self.tau_cache.get(&(p.attr, p.threshold.to_bits()));
             match (p.func, built, group.ontology(p.attr), entity.value(p.attr).node) {
                 (SimilarityFn::Ontology, Some(&built), Some(ont), Some(node)) => {
-                    tau_min(p.threshold, [ont.depth(node)]) < built
+                    tau_min(p.threshold.clamp(0.0, 1.0), [ont.depth(node)]) < built
                 }
                 _ => false,
             }
@@ -420,15 +420,20 @@ impl SigContext {
     /// the cache — called once per predicate before row generation, which
     /// keeps keying a pure read, so rows can be keyed from `&self` on worker
     /// threads.
+    ///
+    /// `τ` is defined for θ in [0, 1], so θ is clamped into it: θ > 1 never
+    /// holds, and θ = 1 keys a superset of its (empty) pairs, while θ < 0
+    /// always holds, like θ = 0.
     fn warm_tau(&mut self, group: &Group, pred: &Predicate) {
         // A trivial predicate (θ ≤ 0) never reaches τ.
         if pred.func != SimilarityFn::Ontology || pred.threshold <= 0.0 {
             return;
         }
         let nodes = group.entities().iter().filter_map(|e| e.value(pred.attr).node);
+        let theta = pred.threshold.clamp(0.0, 1.0);
         self.tau_cache.entry((pred.attr, pred.threshold.to_bits())).or_insert_with(|| {
             let ont = group.ontology(pred.attr);
-            ont.map_or(1, |ont| tau_min(pred.threshold, nodes.map(|n| ont.depth(n))))
+            ont.map_or(1, |ont| tau_min(theta, nodes.map(|n| ont.depth(n))))
         });
     }
 }

@@ -169,10 +169,14 @@ run_perfbench_selftest() {
 # What the engine counts on a fixed input is a property of the algorithm,
 # not of its speed: a perf change that moves one of these counters changed
 # which pairs DIME⁺ filters or verifies. dbgen's work is mostly the
-# positive phase (0.64M candidate pairs, of which the edit bound refutes
+# positive phase (0.62M candidate pairs, of which the edit bound refutes
 # 0.40M while they are gathered, before any is verified),
 # scholar's mostly the negative phase (2.54M negative pairs), so between
-# them both phases of the engine are pinned. The negative phase walks
+# them both phases of the engine are pinned. The gather reads the live
+# forest: a partner already connected is dropped and a list whose slice is
+# connected to the prober is skipped, so core.candidate_pairs and
+# core.pairs_skipped_transitivity are one-worker figures (perfbench traces
+# at one worker); scholar's one giant component leaves 47,719 candidates. The negative phase walks
 # each partition's pairs in the naive engine's id order and stops at the
 # first satisfied one, so core.negative_pairs_verified counts exactly the
 # pairs the naive engine evaluates; it decides them from counts, one pass
@@ -197,19 +201,19 @@ run_perfbench_counters() {
     return 2
   fi
   perfbench_pinned dbgen '{
-    "core.candidate_pairs": 639344,
+    "core.candidate_pairs": 624616,
     "core.pairs_verified": 180819,
     "core.negative_pairs_verified": 10241,
     "core.index_probes": 55709,
-    "core.pairs_skipped_transitivity": 54757,
+    "core.pairs_skipped_transitivity": 44873,
     "core.uf_merges": 16606
   }' || return 1
   perfbench_pinned scholar '{
-    "core.candidate_pairs": 787759,
+    "core.candidate_pairs": 47719,
     "core.pairs_verified": 2896,
     "core.negative_pairs_verified": 2541253,
     "core.index_probes": 1456,
-    "core.pairs_skipped_transitivity": 784863,
+    "core.pairs_skipped_transitivity": 44823,
     "core.uf_merges": 2896
   }'
 }

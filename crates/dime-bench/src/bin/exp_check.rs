@@ -21,8 +21,9 @@
 //! Flags: `--seed S` (default 42). Runtime ≈ 1–2 minutes.
 //!
 //! `--smoke` runs only a seconds-scale engine-agreement check (the three
-//! batch engines and the live engine, created, grown by adds and reopened,
-//! on a tiny DBGen group, with a generous wall-clock ceiling) — the CI
+//! batch engines and the live engine, created, grown by adds, reopened,
+//! and grown then shrunk by removes, on a tiny DBGen group, with a
+//! generous wall-clock ceiling) — the CI
 //! bench-smoke stage uses it to guard the engines on every push without
 //! paying for the full reproduction suite.
 //!
@@ -45,6 +46,7 @@ use dime_data::{
     scholar_rules, AmazonConfig, DbgenConfig, ExampleSet, ScholarConfig,
 };
 use dime_metrics::Prf;
+use dime_ontology::NodeId;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -66,6 +68,7 @@ fn run_smoke(seed: u64) -> bool {
     let fast = discover_fast(&lg.group, &pos, &neg);
     let parallel = discover_parallel(&lg.group, &pos, &neg, 0);
     let [created, grown, reopened] = live_discoveries(&lg.group, &pos, &neg);
+    let (shrunk, survivors) = live_shrunk(&lg.group, &pos, &neg);
     let wall = t0.elapsed().as_secs_f64();
     let mut ok = true;
     ok &= check("smoke naive == fast", naive == fast, "DBGen 600".into());
@@ -74,6 +77,11 @@ fn run_smoke(seed: u64) -> bool {
     ok &= check("smoke live adds == naive", grown == naive, "DBGen 600, 600 adds".into());
     ok &= check("smoke live reopen == naive", reopened == naive, "DBGen 600".into());
     ok &= check(
+        "smoke live removes == fast",
+        shrunk == survivors,
+        format!("DBGen 600, 600 adds, {SHRINK} removes"),
+    );
+    ok &= check(
         "smoke under time ceiling",
         wall <= CEILING_SECS,
         format!("{wall:.2}s (ceiling {CEILING_SECS}s)"),
@@ -81,19 +89,21 @@ fn run_smoke(seed: u64) -> bool {
     ok
 }
 
-/// The live engine three ways over `group`'s rows, each engine's
-/// discovery: created over the group, grown from an empty group by one add
-/// per row (re-keying each time the session doubles, nine times over 600
-/// rows), and reopened from those rows.
-fn live_discoveries(group: &Group, pos: &[Rule], neg: &[Rule]) -> [Discovery; 3] {
+/// How many rows the smoke check's shrunk engine removes.
+const SHRINK: usize = 40;
+
+/// One persisted row per entity of `group`: its values and its nodes.
+type Rows = Vec<(Vec<String>, Option<Vec<Option<NodeId>>>)>;
+
+/// `group`'s schema and ontologies with no entities, and its rows.
+fn split(group: &Group) -> (Group, Rows) {
     let mut empty = GroupBuilder::new(group.schema().clone());
     for (i, def) in group.schema().attrs().iter().enumerate() {
         if let Some(ont) = group.ontology(i) {
             empty.attach_ontology(&def.name, Arc::new(ont.clone()));
         }
     }
-    let empty = empty.build();
-    let rows: Vec<(Vec<String>, Option<Vec<_>>)> = group
+    let rows = group
         .entities()
         .iter()
         .map(|e| {
@@ -101,15 +111,53 @@ fn live_discoveries(group: &Group, pos: &[Rule], neg: &[Rule]) -> [Discovery; 3]
             (values, Some(e.values.iter().map(|v| v.node).collect()))
         })
         .collect();
-    let engine = |group: Group| IncrementalDime::new(group, pos.to_vec(), neg.to_vec());
-    let mut created = engine(group.clone());
-    let mut grown = engine(empty.clone());
-    for (values, nodes) in &rows {
+    (empty.build(), rows)
+}
+
+/// A live engine grown from `empty` by one add per row.
+fn grow(empty: Group, rows: &Rows, pos: &[Rule], neg: &[Rule]) -> IncrementalDime {
+    let mut grown = IncrementalDime::new(empty, pos.to_vec(), neg.to_vec());
+    for (values, nodes) in rows {
         let refs: Vec<&str> = values.iter().map(String::as_str).collect();
         grown.add_entity_with_nodes(&refs, nodes.as_deref().expect("every row carries its nodes"));
     }
-    let mut reopened = IncrementalDime::reopen(empty, pos.to_vec(), neg.to_vec(), &rows);
+    grown
+}
+
+/// The live engine three ways over `group`'s rows, each engine's
+/// discovery: created over the group, grown from an empty group by one add
+/// per row (re-keying each time the session doubles, nine times over 600
+/// rows), and reopened from those rows.
+fn live_discoveries(group: &Group, pos: &[Rule], neg: &[Rule]) -> [Discovery; 3] {
+    let (empty, rows) = split(group);
+    let created = IncrementalDime::new(group.clone(), pos.to_vec(), neg.to_vec());
+    let grown = grow(empty.clone(), &rows, pos, neg);
+    let reopened = IncrementalDime::reopen(empty, pos.to_vec(), neg.to_vec(), &rows);
     [created.discovery(), grown.discovery(), reopened.discovery()]
+}
+
+/// The live engine grown over `group`'s rows, then shrunk by [`SHRINK`]
+/// removes, each of a member of the current pivot or of a row spread over
+/// the ids in turn; its discovery, and `discover_fast`'s on the surviving
+/// rows.
+fn live_shrunk(group: &Group, pos: &[Rule], neg: &[Rule]) -> (Discovery, Discovery) {
+    let (mut kept, mut rows) = split(group);
+    let mut shrunk = grow(kept.clone(), &rows, pos, neg);
+    for k in 0..SHRINK {
+        let id = if k % 2 == 0 {
+            let d = shrunk.discovery();
+            d.pivot_members()[k % d.pivot_members().len()]
+        } else {
+            k * 37 % rows.len()
+        };
+        assert!(shrunk.remove_entity(id), "id {id} is in range");
+        rows.remove(id);
+    }
+    for (values, nodes) in &rows {
+        let refs: Vec<&str> = values.iter().map(String::as_str).collect();
+        kept.push_entity_with_nodes(&refs, nodes.as_deref().expect("every row carries its nodes"));
+    }
+    (shrunk.discovery(), discover_fast(&kept, pos, neg))
 }
 
 /// The analyzer timing run: `dime_check::run_workspace` over this

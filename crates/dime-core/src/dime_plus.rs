@@ -36,6 +36,7 @@ use crate::rule::Rule;
 use crate::signature::{RuleSigs, SigContext};
 use dime_index::ConcurrentUnionFind;
 use dime_trace::{span, RuleKind, TraceSink, NOOP};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Tuning knobs for DIME⁺ (all defaults match the paper's design).
@@ -182,10 +183,14 @@ pub fn discover_fast_traced(
             let _k = span(sink, "rule_keys");
             (compiled, ctx.positive_rule_signatures_threaded(group, rule, workers, false))
         };
-        verify_positive_rule(&arena, &compiled, &sigs, &uf, config, workers, sink, ri);
-        // Freeing the rule's keys is index work too.
+        let candidates = {
+            let _s = span(sink, "index_probe");
+            Candidates::<Postings>::new(compiled, sigs)
+        };
+        verify_positive_rule(&arena, &candidates, &uf, config, workers, sink, ri);
+        // Freeing the rule's keys and postings is index work too.
         let _s = span(sink, "index_probe");
-        drop(sigs);
+        drop(candidates);
     }
     // ---- Step 2: components + pivot partition.
     let (partitions, pivot) = {
@@ -209,23 +214,13 @@ pub fn discover_fast_traced(
 const BLOCK: usize = 64;
 
 /// Filter + verification for one positive rule: one gather-and-verify
-/// pass over the rule's postings, built from its keys `sigs` (the live
-/// engine's are symmetric). Returns how many pairs it verified; an empty
-/// group has none, and is not walked.
+/// pass of `candidates` over every entity. Returns how many pairs it
+/// verified; an empty group has none, and is not walked.
 ///
 /// Entities `a` are sharded by residue class over the workers (one shard,
 /// inline, at one worker or below the cutoff), and each shard walks its
-/// entities in blocks of [`BLOCK`]:
-///
-/// 1. **Gather** ([`Candidates::gather`]). Each `a` collects its later
-///    partners from the postings, skipping the lists settled for it, drops
-///    those already connected to it in the live forest and those the
-///    compiled rule's edit bound refutes, and keeps the rest in ascending
-///    order.
-/// 2. **Verify.** The block's pairs, in `(a, b)` order, against the live
-///    forest: a pair connected since it was gathered is skipped (the
-///    paper's footnote-4 transitivity check), and any other is verified
-///    and merged if it holds.
+/// entities with [`Candidates::walk`]: in blocks of [`BLOCK`], it gathers
+/// each block's pairs, then verifies them against the live forest.
 ///
 /// Both steps read the live forest, so at more than one worker which
 /// pairs are gathered, pruned, verified or skipped depends on the
@@ -242,75 +237,44 @@ const BLOCK: usize = 64;
 /// `verify` span; at more, the calling thread spends the pass in one
 /// `verify` span. Each block's verification is also a `verify_worker`
 /// span on the thread that ran it.
-#[allow(clippy::too_many_arguments)] // internal engine body; `ri` and `sink` ride along
-pub(crate) fn verify_positive_rule(
+pub(crate) fn verify_positive_rule<L: Lists>(
     arena: &VerifyArena,
-    compiled: &CompiledRule,
-    sigs: &RuleSigs,
+    candidates: &Candidates<L>,
     uf: &ConcurrentUnionFind,
     config: DimePlusConfig,
     workers: usize,
     sink: &dyn TraceSink,
     ri: usize,
 ) -> u64 {
-    let n = sigs.index.len();
+    let n = candidates.order.len();
     if n == 0 {
         return 0;
     }
-    let probe = span(sink, "index_probe");
-    let open = |a: u32, b: u32| arena.bound_open(compiled, a as usize, b as usize);
-    let candidates = Candidates::new(sigs, config.transitivity_skip.then_some(uf), open);
-    drop(probe);
-
+    let open = |a: u32, b: u32| arena.bound_open(&candidates.compiled, a as usize, b as usize);
+    let pass = Pass { arena, uf, skip: config.transitivity_skip, open };
     let shards = if n < crate::par::SEQ_CUTOFF { 1 } else { workers };
     let phases: &dyn TraceSink = if shards == 1 { sink } else { &NOOP };
-    let pass = (shards > 1).then(|| span(sink, "verify"));
+    let whole = (shards > 1).then(|| span(sink, "verify"));
     let tallies: Vec<VerifyTally> = par_shards(shards, |shard| {
-        let mut scratch = Scratch::new(n);
-        let mut tally = VerifyTally::default();
-        for start in (shard..n).step_by(shards * BLOCK) {
-            {
-                let _p = span(phases, "index_probe");
-                for a in (start..n.min(start + shards * BLOCK)).step_by(shards) {
-                    tally.pruned += candidates.gather(a as u32, &mut scratch);
-                }
-            }
-            let _v = span(phases, "verify");
-            let _w = span(sink, "verify_worker");
-            for (a, b) in scratch.pairs.drain(..) {
-                let (a, b) = (a as usize, b as usize);
-                if config.transitivity_skip && uf.same(a, b) {
-                    tally.skipped += 1;
-                    continue;
-                }
-                tally.verified += 1;
-                if arena.eval_compiled(compiled, a, b) {
-                    tally.hits += 1;
-                    uf.union(a, b);
-                }
-            }
-        }
-        vec![tally]
+        let probers = (shard..n).step_by(shards).map(|a| a as u32);
+        vec![candidates.walk(probers, &pass, &mut Scratch::default(), phases, sink)]
     });
-    drop(pass);
+    drop(whole);
     let total = tallies.iter().fold(VerifyTally::default(), VerifyTally::fold);
     if sink.enabled() {
         let total_pairs = (n as u64) * (n as u64 - 1) / 2;
         let gathered = total.verified + total.skipped + total.pruned;
-        let postings = &candidates.postings;
-        sink.add("signatures_built", postings.entities.len() as u64);
+        let postings = candidates.sigs.index.iter().flatten().map(Vec::len).sum::<usize>();
+        sink.add("signatures_built", postings as u64);
         sink.add("wildcard_entities", candidates.wildcards.len() as u64);
         sink.add("candidate_pairs", gathered);
         sink.add("pairs_pruned_filter", total_pairs.saturating_sub(gathered));
         sink.add("pairs_pruned_bound", total.pruned);
-        sink.add("index_probes", postings.signatures.len() as u64);
+        sink.add("index_probes", candidates.settled.len() as u64);
         sink.add("pairs_verified", total.verified);
         sink.add("pairs_skipped_transitivity", total.skipped);
         sink.rule_hits(RuleKind::Positive, ri, total.hits);
     }
-    // Freeing the rule's postings is index work too.
-    let _s = span(sink, "index_probe");
-    drop(candidates);
     total.verified
 }
 
@@ -411,43 +375,106 @@ fn flag_partitions(
     results.into_iter().map(|(w, _)| w).collect()
 }
 
-/// One positive rule's candidate source: its signatures and postings, the
-/// live forest, each list's settled record, and the edit bound.
-struct Candidates<'s, F> {
-    /// The rule's signatures: wildcards pair with everyone.
-    sigs: &'s RuleSigs,
-    postings: Postings,
-    /// The wildcard entities, ascending (they have no postings).
+/// One positive rule's pass state: the compiled rule, its keys, the
+/// postings `L` over them, the wildcards and each list's settled record.
+/// The batch engine builds one per rule and run over [`Postings`]; the
+/// live engine keeps one per rule over [`LiveLists`].
+pub(crate) struct Candidates<L> {
+    pub(crate) compiled: CompiledRule,
+    pub(crate) sigs: RuleSigs,
+    lists: L,
+    /// Every entity, ascending by rank.
+    pub(crate) order: Vec<u32>,
+    /// The wildcard entities, ascending by rank (they have no postings).
     wildcards: Vec<u32>,
-    /// The live forest, read to drop partners already connected; `None`
-    /// without transitivity skipping.
-    uf: Option<&'s ConcurrentUnionFind>,
     /// Per list, `rep + 1`, or 0 before any: every member ranked below
     /// entity `rep` is connected to it, so `rank[rep]` is the watermark.
     settled: Vec<AtomicU32>,
-    /// `open(a, b)` is `false` only for pairs that fail the rule.
-    open: F,
 }
 
-impl<'s, F: Fn(u32, u32) -> bool> Candidates<'s, F> {
-    fn new(sigs: &'s RuleSigs, uf: Option<&'s ConcurrentUnionFind>, open: F) -> Self {
+/// What a walk reads besides its candidates. `open(a, b)` is `false` only
+/// for pairs that must not be verified (they fail the rule, or lie outside
+/// a remove's component); `skip` drops connected pairs and settles lists.
+pub(crate) struct Pass<'p, F> {
+    pub(crate) arena: &'p VerifyArena,
+    pub(crate) uf: &'p ConcurrentUnionFind,
+    pub(crate) skip: bool,
+    pub(crate) open: F,
+}
+
+/// The postings a gather reads: per distinct index key, a list of its
+/// entities ascending by rank.
+pub(crate) trait Lists: Sync {
+    /// The postings of `sigs`' index keys; `order` ranks the entities.
+    fn new(sigs: &RuleSigs, order: &[u32]) -> Self;
+    /// How many lists there are.
+    fn count(&self) -> usize;
+    /// Key `sig`'s list index and list, if an entity holds the key.
+    fn get(&self, sig: u64) -> Option<(usize, &[u32])>;
+}
+
+impl<L: Lists> Candidates<L> {
+    pub(crate) fn new(compiled: CompiledRule, sigs: RuleSigs) -> Self {
+        let mut order = vec![0u32; sigs.rank.len()];
+        for (e, &r) in (0u32..).zip(&sigs.rank) {
+            order[r as usize] = e;
+        }
+        let lists = L::new(&sigs, &order);
         let wildcards =
-            (0u32..).zip(&sigs.index).filter(|(_, s)| s.is_none()).map(|(e, _)| e).collect();
-        let postings = Postings::new(sigs);
-        let settled = postings.signatures.iter().map(|_| AtomicU32::new(0)).collect();
-        Self { sigs, postings, wildcards, uf, settled, open }
+            order.iter().copied().filter(|&e| sigs.index[e as usize].is_none()).collect();
+        let settled = (0..lists.count()).map(|_| AtomicU32::new(0)).collect();
+        Self { compiled, sigs, lists, order, wildcards, settled }
+    }
+
+    /// The gather-and-verify body over `probers`, in blocks of [`BLOCK`]:
+    /// a block's candidate pairs are gathered ([`Candidates::gather`]),
+    /// then go to the live forest in `(a, b)` order. A pair connected
+    /// since it was gathered is skipped (the paper's footnote-4
+    /// transitivity check); any other is verified and merged if it holds.
+    /// Each block's gather is an `index_probe` span on `phases`, and its
+    /// verification a `verify` span there and a `verify_worker` on `sink`.
+    pub(crate) fn walk<F: Fn(u32, u32) -> bool>(
+        &self,
+        probers: impl IntoIterator<Item = u32>,
+        pass: &Pass<'_, F>,
+        scratch: &mut Scratch,
+        phases: &dyn TraceSink,
+        sink: &dyn TraceSink,
+    ) -> VerifyTally {
+        scratch.stamp.resize(scratch.stamp.len().max(self.order.len()), 0);
+        let mut tally = VerifyTally::default();
+        let mut probers = probers.into_iter().peekable();
+        while probers.peek().is_some() {
+            {
+                let _p = span(phases, "index_probe");
+                for a in probers.by_ref().take(BLOCK) {
+                    tally.pruned += self.gather(a, pass, scratch);
+                }
+            }
+            let _v = span(phases, "verify");
+            let _w = span(sink, "verify_worker");
+            for (a, b) in scratch.pairs.drain(..) {
+                let (a, b) = (a as usize, b as usize);
+                if pass.skip && pass.uf.same(a, b) {
+                    tally.skipped += 1;
+                    continue;
+                }
+                tally.verified += 1;
+                if pass.arena.eval_compiled(&self.compiled, a, b) {
+                    tally.hits += 1;
+                    pass.uf.union(a, b);
+                }
+            }
+        }
+        tally
     }
 
     /// Appends `a`'s candidate pairs `(a, b)` to `scratch.pairs`, ascending
-    /// by `b`: the entities ranked below `a` on a list `a` probes (all
-    /// entities after `a` when `a` is a wildcard) and the wildcards after
-    /// `a`, less those connected to `a` in the live forest and those the
-    /// bound refutes. Returns how many the bound refuted.
-    ///
-    /// Each pair is gathered once: a wildcard pair from its smaller id, any
-    /// other from its higher-ranked side — under a symmetric rule again the
-    /// smaller id, under a Pass-Join rule the longer value, or the smaller
-    /// id at equal length.
+    /// by `b`: the entities ranked below `a` on a list `a` probes and the
+    /// wildcards ranked below `a` (every entity ranked below `a` when `a` is
+    /// a wildcard), less those connected to `a` in the live forest and
+    /// those `open` refuses. Returns how many `open` refused. Every pair is
+    /// thus gathered once, from its higher-ranked side (DESIGN.md §6).
     ///
     /// A list whose slice below `a` is not empty and turns out connected to
     /// `a` throughout is *settled* at `a`'s rank. A later prober ranked no
@@ -456,29 +483,37 @@ impl<'s, F: Fn(u32, u32) -> bool> Candidates<'s, F> {
     /// footnote-4 transitivity check, once per list instead of per pair.
     /// Connectivity only grows, so a record never turns false, and a stale
     /// read only skips less.
-    fn gather(&self, a: u32, scratch: &mut Scratch) -> u64 {
+    fn gather<F: Fn(u32, u32) -> bool>(
+        &self,
+        a: u32,
+        pass: &Pass<'_, F>,
+        scratch: &mut Scratch,
+    ) -> u64 {
         // A partner is dropped when its root is `a`'s: both are then
         // connected to that node, and stay so.
-        let root = self.uf.map(|uf| (uf, uf.find(a as usize)));
-        let joined = |b: u32| root.is_some_and(|(uf, r)| uf.find(b as usize) == r);
+        let uf = pass.uf;
+        let root = pass.skip.then(|| uf.find(a as usize));
+        let joined = |b: u32| root.is_some_and(|r| uf.find(b as usize) == r);
+        let ranks = &self.sigs.rank;
+        let rank = ranks[a as usize];
         let partners = &mut scratch.partners;
         match self.sigs.probe(a as usize) {
-            None => partners.extend((a + 1..self.sigs.index.len() as u32).filter(|&b| !joined(b))),
+            None => partners.extend(self.order[..rank as usize].iter().filter(|&&b| !joined(b))),
             Some(own) => {
-                let rank = self.sigs.rank[a as usize];
                 // `stamp[b]` is `seen | joined`: `b` met on an earlier list.
-                let seen = u64::from(a + 1) << 1;
+                scratch.tag += 1;
+                let seen = scratch.tag << 1;
                 for &sig in own {
-                    let Ok(l) = self.postings.signatures.binary_search(&sig) else {
+                    let Some((l, list)) = self.lists.get(sig) else {
                         continue;
                     };
                     // Acquire: pairs with the Release that settled the list.
                     let rep = self.settled[l].load(Ordering::Acquire).checked_sub(1);
-                    let mark = rep.map(|rep| self.sigs.rank[rep as usize]);
+                    let mark = rep.map(|rep| ranks[rep as usize]);
                     if mark.is_some_and(|mark| rank <= mark) && rep.is_some_and(joined) {
                         continue;
                     }
-                    let slice = self.postings.below(l, rank, &self.sigs.rank);
+                    let slice = &list[..list.partition_point(|&x| ranks[x as usize] < rank)];
                     let mut settled = root.is_some() && !slice.is_empty();
                     for &b in slice {
                         let stamp = &mut scratch.stamp[b as usize];
@@ -499,13 +534,13 @@ impl<'s, F: Fn(u32, u32) -> bool> Candidates<'s, F> {
                         self.settled[l].store(a + 1, Ordering::Release);
                     }
                 }
-                let after = self.wildcards.partition_point(|&w| w <= a);
-                partners.extend(self.wildcards[after..].iter().filter(|&&w| !joined(w)));
+                let below = self.wildcards.partition_point(|&w| ranks[w as usize] < rank);
+                partners.extend(self.wildcards[..below].iter().filter(|&&w| !joined(w)));
             }
         }
         let mut pruned = 0;
         partners.retain(|&b| {
-            let open = (self.open)(a, b);
+            let open = (pass.open)(a, b);
             pruned += u64::from(!open);
             open
         });
@@ -517,45 +552,72 @@ impl<'s, F: Fn(u32, u32) -> bool> Candidates<'s, F> {
     }
 }
 
-/// One shard's gather buffers.
-struct Scratch {
-    /// `stamp[b]` is `(a + 1) << 1`, plus 1 when `b` is connected to `a`,
-    /// once `b` is met for `a`, so a partner sharing several signatures is
-    /// looked at once.
+impl Candidates<LiveLists> {
+    /// Files a newcomer keyed `keys` (`None`: a wildcard) as the last
+    /// entity, ranked above every other: every list stays in rank order,
+    /// and every settled record stays true.
+    pub(crate) fn push(&mut self, keys: Option<Vec<u64>>) {
+        let e = self.order.len() as u32;
+        match &keys {
+            Some(keys) => keys.iter().for_each(|&k| self.lists.file(k, e)),
+            None => self.wildcards.push(e),
+        }
+        self.settled.resize_with(self.lists.count(), AtomicU32::default);
+        self.order.push(e);
+        self.sigs.rank.push(e);
+        self.sigs.index.push(keys);
+    }
+
+    /// Drops entity `e`, compacting ids and ranks, and clears every settled
+    /// record: the component a record speaks for may split.
+    pub(crate) fn remove(&mut self, e: u32) {
+        self.sigs.index.remove(e as usize);
+        let r = self.sigs.rank.remove(e as usize);
+        self.sigs.rank.iter_mut().filter(|x| **x > r).for_each(|x| *x -= 1);
+        let compact = |list: &mut Vec<u32>| {
+            list.retain(|&x| x != e);
+            list.iter_mut().filter(|x| **x > e).for_each(|x| *x -= 1);
+        };
+        let lists = self.lists.0.values_mut().map(|(_, list)| list);
+        lists.chain([&mut self.order, &mut self.wildcards]).for_each(compact);
+        self.settled.iter_mut().for_each(|s| *s.get_mut() = 0);
+    }
+}
+
+/// Gather buffers, one set per shard, or per live session.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// `stamp[b]` is the gather's tag `<< 1`, plus 1 when `b` is connected
+    /// to its prober, once `b` is met, so a partner sharing several
+    /// signatures is looked at once.
     stamp: Vec<u64>,
+    /// The last gather's tag: each gather takes a fresh one, so no stamp
+    /// outlives the gather that wrote it, whichever ids it reuses.
+    tag: u64,
     /// The partners of the entity being gathered.
     partners: Vec<u32>,
     /// The block's candidate pairs, in `(a, b)` order.
     pairs: Vec<(u32, u32)>,
 }
 
-impl Scratch {
-    fn new(n: usize) -> Self {
-        Self { stamp: vec![0; n], partners: Vec::new(), pairs: Vec::new() }
-    }
-}
-
-/// Flat inverted lists over the index keys: `entities[starts[l]..starts[l +
-/// 1]]` are the entities emitting `signatures[l]`, ascending by rank.
-struct Postings {
+/// Flat inverted lists over the index keys, the batch engine's:
+/// `entities[starts[l]..starts[l + 1]]` are the entities emitting
+/// `signatures[l]`, ascending by rank.
+pub(crate) struct Postings {
     /// The distinct index keys, ascending.
     signatures: Vec<u64>,
     starts: Vec<usize>,
     entities: Vec<u32>,
 }
 
-impl Postings {
-    fn new(sigs: &RuleSigs) -> Self {
+impl Lists for Postings {
+    fn new(sigs: &RuleSigs, order: &[u32]) -> Self {
         let mut pairs: Vec<(u64, u32)> = (0..)
             .zip(&sigs.index)
             .flat_map(|(e, s)| s.iter().flatten().map(move |&sig| (sig, sigs.rank[e])))
             .collect();
         pairs.sort_unstable();
         pairs.dedup();
-        let mut by_rank = vec![0u32; sigs.rank.len()];
-        for (e, &r) in (0u32..).zip(&sigs.rank) {
-            by_rank[r as usize] = e;
-        }
         let (mut signatures, mut starts) = (Vec::new(), Vec::new());
         for (k, &(sig, _)) in pairs.iter().enumerate() {
             if signatures.last() != Some(&sig) {
@@ -564,27 +626,61 @@ impl Postings {
             }
         }
         starts.push(pairs.len());
-        let entities = pairs.into_iter().map(|(_, r)| by_rank[r as usize]).collect();
+        let entities = pairs.into_iter().map(|(_, r)| order[r as usize]).collect();
         Self { signatures, starts, entities }
     }
 
-    /// The entities of rank below `rank` on list `l`.
-    fn below(&self, l: usize, rank: u32, ranks: &[u32]) -> &[u32] {
-        let list = &self.entities[self.starts[l]..self.starts[l + 1]];
-        &list[..list.partition_point(|&x| ranks[x as usize] < rank)]
+    fn count(&self) -> usize {
+        self.signatures.len()
+    }
+
+    fn get(&self, sig: u64) -> Option<(usize, &[u32])> {
+        let l = self.signatures.binary_search(&sig).ok()?;
+        Some((l, &self.entities[self.starts[l]..self.starts[l + 1]]))
     }
 }
 
-/// Local accumulation for one shard of the positive pass: hot loops bump
+/// Appendable inverted lists over the index keys, the live engine's: per
+/// key, its list index and its entities ascending by rank.
+#[derive(Default)]
+pub(crate) struct LiveLists(HashMap<u64, (usize, Vec<u32>)>);
+
+impl LiveLists {
+    /// Appends `e` to key `key`'s list, opening the list if need be.
+    fn file(&mut self, key: u64, e: u32) {
+        let next = self.0.len();
+        self.0.entry(key).or_insert((next, Vec::new())).1.push(e);
+    }
+}
+
+impl Lists for LiveLists {
+    fn new(sigs: &RuleSigs, order: &[u32]) -> Self {
+        let mut lists = Self::default();
+        for &e in order {
+            sigs.index[e as usize].iter().flatten().for_each(|&k| lists.file(k, e));
+        }
+        lists
+    }
+
+    fn count(&self) -> usize {
+        self.0.len()
+    }
+
+    fn get(&self, sig: u64) -> Option<(usize, &[u32])> {
+        self.0.get(&sig).map(|(l, list)| (*l, &list[..]))
+    }
+}
+
+/// Local accumulation for one walk of the positive pass: hot loops bump
 /// these plain integers and flush them to the [`TraceSink`] once per rule.
 #[derive(Debug, Default, Clone, Copy)]
-struct VerifyTally {
+pub(crate) struct VerifyTally {
     /// Pairs the bound refuted.
     pruned: u64,
     /// Pairs skipped because transitivity already connected them.
     skipped: u64,
     /// Pairs actually evaluated against the rule.
-    verified: u64,
+    pub(crate) verified: u64,
     /// Evaluations that satisfied the rule.
     hits: u64,
 }
@@ -921,10 +1017,12 @@ pub(crate) mod tests {
                     }
                     open
                 };
-                let candidates = Candidates::new(&sigs, None, open);
-                let mut scratch = Scratch::new(g.len());
+                let candidates = Candidates::<Postings>::new(arena.compile(rule), sigs);
+                let uf = ConcurrentUnionFind::new(g.len());
+                let pass = Pass { arena: &arena, uf: &uf, skip: false, open };
+                let mut scratch = Scratch { stamp: vec![0; g.len()], ..Scratch::default() };
                 let pruned: u64 =
-                    (0..g.len() as u32).map(|a| candidates.gather(a, &mut scratch)).sum();
+                    (0..g.len() as u32).map(|a| candidates.gather(a, &pass, &mut scratch)).sum();
                 let refuted = refuted.into_inner().expect("no panic while held");
                 assert_eq!(refuted.len() as u64, pruned, "{rule}");
                 for (a, b) in refuted {
@@ -1267,10 +1365,7 @@ pub(crate) mod tests {
                         candidates += 1;
                         if !arena.bound_open(&compiled, a, b) {
                             refuted += 1;
-                        } else if sigs.index[a].is_none()
-                            || sigs.index[b].is_none()
-                            || sigs.rank[a] > sigs.rank[b]
-                        {
+                        } else if sigs.rank[a] > sigs.rank[b] {
                             open.push((a, b));
                         } else {
                             open.push((b, a));
@@ -1293,7 +1388,8 @@ pub(crate) mod tests {
             for workers in [1usize, 2, 4] {
                 let (uf, rec) = (linked(), Recorder::new());
                 let cfg = DimePlusConfig::default();
-                verify_positive_rule(&arena, &compiled, &sigs, &uf, cfg, workers, &rec, 0);
+                let source = Candidates::<Postings>::new(arena.compile(rule), sigs.clone());
+                verify_positive_rule(&arena, &source, &uf, cfg, workers, &rec, 0);
                 let report = rec.snapshot();
                 let [gathered, pruned, verified, skipped] = [
                     "candidate_pairs",

@@ -29,9 +29,9 @@
 //! the two sides [`RuleSigs`] holds. Every other predicate emits the same
 //! set on both sides. Rules whose values have too many probe keys keep the
 //! symmetric q-gram prefixes, and so does the live engine
-//! ([`crate::IncrementalDime`]), which asks for symmetric keys: an add
-//! probes the lists with the newcomer's keys, and under Pass-Join a short
-//! newcomer would have to meet every longer row's probe keys.
+//! ([`crate::IncrementalDime`]), which asks for symmetric keys: its
+//! newcomer ranks above every row and gathers all its pairs from its own
+//! side, while under Pass-Join a pair is found only from its longer side.
 //!
 //! A [`SigContext`] is the state keys are comparable under: the token
 //! order and the ontology `τ_min` values, both taken from the group it was
@@ -520,11 +520,10 @@ pub(crate) struct RuleSigs {
     /// Per entity, its probe keys when they differ from its index keys
     /// (empty for a wildcard).
     probe: Option<Vec<Vec<u64>>>,
-    /// Per entity, its place in the probing order: an entity probes for
-    /// the partners of lower rank only. Ranks ascend by reversed id, and
-    /// under a Pass-Join predicate first by the char count of its
-    /// attribute, so a value probes for shorter partners and for as long
-    /// ones of larger id.
+    /// Per entity, its place in the probing order (a permutation of the
+    /// ids): an entity probes for the partners of lower rank only. A build
+    /// ranks by reversed id, under a Pass-Join predicate first by the char
+    /// count of its attribute; the live engine ranks a newcomer above all.
     pub(crate) rank: Vec<u32>,
     /// The predicates the tuples are composed over, by index.
     pub(crate) plan: Vec<usize>,

@@ -1,13 +1,12 @@
 //! Signature-based inverted index (paper Section IV-A/IV-C).
 //!
-//! DIME⁺'s filter step builds, per rule, a map *signature → entities that
-//! emit it*. Entities sharing an inverted list become candidate pairs; all
-//! other pairs are pruned, because the signature schemes guarantee that
-//! rule-satisfying pairs share at least one signature.
+//! A map *signature → entities that emit it*: entities sharing an inverted
+//! list become candidate pairs, and all other pairs are pruned. The CR
+//! baseline (`dime-baselines::cr`) blocks with it; DIME⁺ keeps its own
+//! postings next to its gather (`dime-core`'s `dime_plus` module).
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An inverted index from opaque signature values to entity ids.
 ///
@@ -28,28 +27,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// let pairs = idx.candidate_pairs();
 /// assert_eq!(pairs, vec![(0, 1)]);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct InvertedIndex {
     lists: HashMap<u64, Vec<u32>>,
-    /// Point-lookup count ([`InvertedIndex::list`] calls), kept atomic so
-    /// the parallel engine can probe through a shared reference.
-    probes: AtomicU64,
-}
-
-impl Clone for InvertedIndex {
-    /// Cloning requires `&mut`-free access, so the probe counter is read
-    /// atomically. The snapshot is best-effort by design: `probes` is a
-    /// statistics counter with no ordering relationship to `lists` (which
-    /// only changes under `&mut self`), so a clone taken while other
-    /// threads probe may miss their in-flight increments — the count is
-    /// diagnostic, never load-bearing.
-    fn clone(&self) -> Self {
-        Self {
-            lists: self.lists.clone(),
-            // dime-check: allow(atomic-ordering) — best-effort snapshot of a diagnostic counter; lists is quiescent under &mut elsewhere
-            probes: AtomicU64::new(self.probes.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl InvertedIndex {
@@ -77,43 +57,6 @@ impl InvertedIndex {
         }
     }
 
-    /// Removes `entity` from every list and shifts every larger id down by
-    /// one, dropping the lists it leaves empty: what a group whose ids
-    /// compact on removal needs. Lists keep their order.
-    pub fn remove_entity(&mut self, entity: u32) {
-        self.lists.retain(|_, list| {
-            list.retain(|&e| e != entity);
-            for e in list.iter_mut().filter(|e| **e > entity) {
-                *e -= 1;
-            }
-            !list.is_empty()
-        });
-    }
-
-    /// The inverted list for `signature`, if any. Counted as one probe.
-    pub fn list(&self, signature: u64) -> Option<&[u32]> {
-        // dime-check: allow(atomic-ordering) — monotone probe counter; no reader orders against it
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        self.lists.get(&signature).map(Vec::as_slice)
-    }
-
-    /// Number of point lookups served so far — the observability layer's
-    /// "index probe" counter. Monotone for the life of the index.
-    pub fn probe_count(&self) -> u64 {
-        // dime-check: allow(atomic-ordering) — monotone counter read for observability; staleness is acceptable
-        self.probes.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct signatures.
-    pub fn len(&self) -> usize {
-        self.lists.len()
-    }
-
-    /// Whether the index holds no signatures.
-    pub fn is_empty(&self) -> bool {
-        self.lists.is_empty()
-    }
-
     /// Enumerates deduplicated candidate pairs `(a, b)` with `a < b`:
     /// every unordered pair of entities that co-occurs on some list.
     ///
@@ -137,11 +80,6 @@ impl InvertedIndex {
         pairs.dedup();
         pairs
     }
-
-    /// Total number of postings across all lists.
-    pub fn posting_count(&self) -> usize {
-        self.lists.values().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +91,6 @@ mod tests {
     fn empty_index_has_no_pairs() {
         let idx = InvertedIndex::new();
         assert!(idx.candidate_pairs().is_empty());
-        assert!(idx.is_empty());
     }
 
     #[test]
@@ -181,33 +118,9 @@ mod tests {
         let mut idx = InvertedIndex::new();
         idx.insert(1, 5);
         idx.insert(1, 5);
-        assert_eq!(idx.list(1), Some(&[5u32][..]));
-        assert_eq!(idx.posting_count(), 1);
-    }
-
-    #[test]
-    fn probes_count_point_lookups_and_survive_clone() {
-        let mut idx = InvertedIndex::new();
-        idx.insert(1, 0);
-        assert_eq!(idx.probe_count(), 0);
-        idx.list(1);
-        idx.list(2); // misses count too: the probe happened
-        assert_eq!(idx.probe_count(), 2);
-        let copy = idx.clone();
-        assert_eq!(copy.probe_count(), 2);
-    }
-
-    #[test]
-    fn remove_entity_compacts_ids() {
-        let mut idx = InvertedIndex::new();
-        for (sig, e) in [(1, 0), (1, 2), (1, 3), (2, 2), (3, 1)] {
-            idx.insert(sig, e);
-        }
-        idx.remove_entity(2);
-        assert_eq!(idx.list(1), Some(&[0u32, 2][..]));
-        assert_eq!(idx.list(2), None);
-        assert_eq!(idx.list(3), Some(&[1u32][..]));
-        assert_eq!(idx.len(), 2);
+        assert!(idx.candidate_pairs().is_empty(), "no self pair");
+        idx.insert(1, 6);
+        assert_eq!(idx.candidate_pairs(), vec![(5, 6)]);
     }
 
     #[test]

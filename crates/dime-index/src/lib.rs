@@ -1,7 +1,7 @@
 //! Index structures backing the DIME⁺ signature framework: a disjoint-set
 //! forest ([`UnionFind`]) for transitivity short-circuiting and connected
-//! components, its lock-free sibling ([`ConcurrentUnionFind`]) for the
-//! parallel engine, and a signature [`InvertedIndex`] for the filter step.
+//! components, its lock-free sibling ([`ConcurrentUnionFind`]) for DIME⁺'s
+//! engines, and the CR baseline's signature [`InvertedIndex`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

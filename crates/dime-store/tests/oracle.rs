@@ -121,7 +121,7 @@ proptest! {
             Recovery::Live(r) => *r,
             _ => panic!("an open session must recover live"),
         };
-        let mut engine = engine_from_rows(&rec.state.rows);
+        let engine = engine_from_rows(&rec.state.rows);
         if !oracle.is_empty() {
             let mut b = GroupBuilder::new(schema());
             for (t, a) in &oracle {

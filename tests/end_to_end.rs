@@ -245,6 +245,6 @@ fn live_session_work_is_pinned_on_a_scholar_page() {
     let victim = inc.discovery().pivot_members()[0];
     assert!(inc.remove_entity(victim));
 
-    assert_eq!(inc.pairs_verified(), 1_124);
+    assert_eq!(inc.pairs_verified(), 1_120);
     assert_eq!(inc.discovery(), discover_fast(inc.group(), &pos, &neg));
 }

@@ -67,9 +67,8 @@ fn dsl_rules_discover_identically_on_dbgen_across_engines() {
         // Incremental engine: same discovery *and* the same number of
         // verified pairs — the DSL path must not change what gets
         // verified, only how the rules were written down.
-        let mut inc_native = IncrementalDime::new(lg.group.clone(), pos.clone(), neg.clone());
-        let mut inc_dsl =
-            IncrementalDime::new(lg.group.clone(), compiled.positive, compiled.negative);
+        let inc_native = IncrementalDime::new(lg.group.clone(), pos.clone(), neg.clone());
+        let inc_dsl = IncrementalDime::new(lg.group.clone(), compiled.positive, compiled.negative);
         assert_eq!(
             discovery_to_json(&lg.group, &inc_dsl.discovery()),
             discovery_to_json(&lg.group, &inc_native.discovery()),
@@ -99,7 +98,7 @@ fn installed_spec_matches_struct_rules_through_set_rules() {
     let mut installed = IncrementalDime::new(lg.group.clone(), seed_pos, seed_neg);
     installed.set_rules(compiled.positive, compiled.negative);
 
-    let mut native = IncrementalDime::new(lg.group.clone(), pos, neg);
+    let native = IncrementalDime::new(lg.group.clone(), pos, neg);
     assert_eq!(
         discovery_to_json(&lg.group, &installed.discovery()),
         discovery_to_json(&lg.group, &native.discovery()),
